@@ -12,14 +12,11 @@
 //!   table/figure (see `benches/`).
 //!
 //! [`render`] turns experiment rows into [`TextTable`]s;
-//! [`params`] centralizes the reference counts used at each scale;
-//! [`perf`] is the perf-trajectory harness behind `figures bench`,
-//! recording throughput and sweep wall time into `BENCH_sweep.json`.
+//! [`params`] centralizes the reference counts used at each scale.
 
 use sdpcm_core::ExperimentParams;
 use sdpcm_engine::TextTable;
 
-pub mod perf;
 pub mod render;
 
 /// Scales at which experiments run.
@@ -40,16 +37,6 @@ pub mod params {
     pub fn criterion() -> ExperimentParams {
         ExperimentParams {
             refs_per_core: 1_000,
-            ..ExperimentParams::quick_test()
-        }
-    }
-
-    /// Smoke scale for the perf harness in CI: tiny cells, so the whole
-    /// `figures bench --smoke` run stays in tens of seconds.
-    #[must_use]
-    pub fn smoke() -> ExperimentParams {
-        ExperimentParams {
-            refs_per_core: 300,
             ..ExperimentParams::quick_test()
         }
     }

@@ -279,8 +279,7 @@ impl HierarchySim {
             ecp_entries: params.ecp_entries,
             ..CtrlConfig::table2(scheme.ctrl)
         };
-        let mut ctrl = MemoryController::try_new(cfg, geometry, rng.derive("ctrl"))?;
-        ctrl.set_advance_workers(crate::sweep::default_cell_workers());
+        let ctrl = MemoryController::try_new(cfg, geometry, rng.derive("ctrl"))?;
 
         let mut os = NmAllocator::new(geometry.total_pages());
         let mut tables = Vec::new();

@@ -34,57 +34,7 @@ pub fn default_workers() -> usize {
             }
         }
     }
-    host_parallelism()
-}
-
-/// Environment variable selecting the *intra-cell* worker count: threads
-/// the memory controller uses to process independent bank lanes inside a
-/// single simulation ([`crate::SystemSim`] / [`crate::HierarchySim`]).
-/// Orthogonal to [`WORKERS_ENV`], which fans out across sweep cells.
-pub const CELL_WORKERS_ENV: &str = "SDPCM_CELL_WORKERS";
-
-/// Intra-cell worker count: `SDPCM_CELL_WORKERS` when set to a positive
-/// integer, otherwise 1 (serial). Deliberately *not* defaulted to the
-/// host's parallelism: figure sweeps already saturate the machine at the
-/// cell level, and nesting both would oversubscribe it. Results are
-/// bit-identical at every value.
-#[must_use]
-pub fn default_cell_workers() -> usize {
-    if let Ok(v) = std::env::var(CELL_WORKERS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    1
-}
-
-/// Environment variable overriding the host-core count recorded by
-/// `figures bench` (for containers whose affinity mask hides the real
-/// machine).
-pub const HOST_CORES_ENV: &str = "SDPCM_HOST_CORES";
-
-/// The machine's parallelism as recorded by `figures bench`:
-/// `SDPCM_HOST_CORES` when set to a positive integer, otherwise the
-/// larger of [`std::thread::available_parallelism`] (which reports the
-/// *usable* parallelism and can read 1 inside an affinity-restricted
-/// container) and the processor count in `/proc/cpuinfo` (the physical
-/// machine, when readable). Falls back to 1 when nothing is knowable.
-#[must_use]
-pub fn host_parallelism() -> usize {
-    if let Ok(v) = std::env::var(HOST_CORES_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let physical = std::fs::read_to_string("/proc/cpuinfo").map_or(0, |s| {
-        s.lines().filter(|l| l.starts_with("processor")).count()
-    });
-    avail.max(physical).max(1)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Applies `f` to every item, fanning the calls across `workers` scoped

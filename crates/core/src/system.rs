@@ -142,7 +142,6 @@ impl SystemSim {
             ..CtrlConfig::table2(scheme.ctrl)
         };
         let mut ctrl = MemoryController::try_new(cfg, geometry, rng.derive("ctrl"))?;
-        ctrl.set_advance_workers(crate::sweep::default_cell_workers());
         if let Some(age) = params.dimm_age {
             ctrl.set_dimm_age(HardErrorModel::default(), age);
         }

@@ -253,10 +253,19 @@ mod tests {
     use super::*;
 
     // The gate is process-global, so every test drives it explicitly
-    // and restores the disabled default before returning.
+    // and restores the disabled default before returning. Tests run
+    // concurrently, so each one that touches the gate or the aggregate
+    // holds `GATE` throughout.
+    static GATE: Mutex<()> = Mutex::new(());
+
+    fn lock_gate() -> std::sync::MutexGuard<'static, ()> {
+        GATE.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_probes_record_nothing() {
+        let _gate = lock_gate();
         set_enabled(false);
         reset();
         {
@@ -268,6 +277,7 @@ mod tests {
 
     #[test]
     fn enabled_probes_accumulate_and_merge() {
+        let _gate = lock_gate();
         set_enabled(true);
         reset();
         {
@@ -295,6 +305,7 @@ mod tests {
 
     #[test]
     fn report_sorts_by_time() {
+        let _gate = lock_gate();
         set_enabled(true);
         reset();
         LOCAL.with(|l| {

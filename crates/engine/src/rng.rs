@@ -14,8 +14,7 @@
 //! function of `(stream identity, draw index)`, so draws are
 //! *order-free*: any thread can compute draw `i` of any stream without
 //! having observed draws `0..i`. That is what lets WD sampling and the
-//! bank-sharded controller advance run in parallel while staying
-//! bit-identical at any worker count.
+//! controller's bank lanes run in any order while staying bit-identical.
 //!
 //! Two access patterns share one generator:
 //!
@@ -473,8 +472,8 @@ mod tests {
     fn stream_access_is_thread_interleaving_free() {
         // Eight threads draw overlapping windows of the same shared
         // stream in different orders; all must agree with the serial
-        // reference. This is the property the bank-sharded advance
-        // relies on.
+        // reference. This is the order freedom the controller's bank
+        // lanes rely on.
         let s = RngStream::from_seed_label(7, "threads");
         let reference: Vec<u64> = (0..256).map(|i| s.at(i)).collect();
         std::thread::scope(|scope| {

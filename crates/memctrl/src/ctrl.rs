@@ -77,7 +77,7 @@ pub struct CtrlConfig {
     /// Capacity of each bank's salvage pool (controller-held line
     /// buffers serving decommissioned lines at `forward_latency`).
     /// Per bank so decommission decisions stay bank-local — a
-    /// requirement of the sharded advance path.
+    /// requirement of order-independent bank lanes.
     pub salvage_pool_lines: usize,
 }
 
@@ -190,7 +190,7 @@ impl Bank {
 /// geometry, the verification policy, the (pure) disturbance injector,
 /// the DIN codec, and the counter-based key material for hard-error
 /// planting. All of it is either a shared borrow of controller state or
-/// `Copy` data, so one instance can be handed to many worker threads.
+/// `Copy` data.
 struct LaneShared<'a> {
     cfg: &'a CtrlConfig,
     geometry: &'a MemGeometry,
@@ -213,9 +213,9 @@ struct LaneShared<'a> {
 /// salvage pool, degradation ladder), and — crucially — its *own
 /// permanent accumulators* (statistics, energy, completions). Per-bank
 /// accumulation keeps every floating-point and histogram sum in a fixed
-/// bank-local order regardless of how lanes are scheduled across worker
-/// threads; [`MemoryController::stats`] folds the lanes together in
-/// bank order at read time, so aggregate totals are path-independent.
+/// bank-local order regardless of the order lanes are processed in;
+/// [`MemoryController::stats`] folds the lanes together in bank order at
+/// read time, so aggregate totals are path-independent.
 struct LaneState {
     bank_id: u16,
     bank: Bank,
@@ -313,20 +313,11 @@ impl LaneState {
 /// device store, processed against the shared read-only context. The
 /// entire per-bank controller logic lives here; lanes touch nothing
 /// outside their own bank (bit-line neighbours are same-bank adjacent
-/// rows), so distinct lanes can run on distinct threads.
+/// rows), so lanes can be processed in any order.
 struct Lane<'a, 's> {
     sh: &'a LaneShared<'a>,
     ls: &'a mut LaneState,
     store: &'a mut StoreLane<'s>,
-}
-
-/// Runs one lane's due work on each `(LaneState, StoreLane)` pair of a
-/// worker's chunk — the body of both the spawned threads and the main
-/// thread's share of [`MemoryController::process_until_parallel`].
-fn run_lane_chunk(sh: &LaneShared<'_>, chunk: &mut [(&mut LaneState, StoreLane<'_>)], now: Cycle) {
-    for (ls, store) in chunk.iter_mut() {
-        Lane { sh, ls, store }.process_lane_until(now);
-    }
 }
 
 /// Clears from `patched` every cell of `line` that `job` still tracks
@@ -373,8 +364,8 @@ impl Lane<'_, '_> {
     /// Brings this lane current to `now`: completes every due bank
     /// operation in sequence and re-dispatches after each. Lanes are
     /// mutually independent, so processing one to completion before
-    /// (or concurrently with) another yields the same per-lane states
-    /// as the old global time-ordered interleave.
+    /// another yields the same per-lane states as the global
+    /// time-ordered interleave.
     fn process_lane_until(&mut self, now: Cycle) {
         while self.ls.bank.op.is_some() && self.ls.bank.busy_until <= now {
             let at = self.ls.bank.busy_until;
@@ -1062,9 +1053,9 @@ impl Lane<'_, '_> {
     /// by `(line, epoch)` — the line's stable address key plus a
     /// per-line count of programming operations — so the outcome
     /// depends only on the line's own history, never on what other
-    /// lines (or banks, or worker threads) did in between. All buffers
-    /// are lane-held scratch — the hot path allocates nothing once
-    /// their capacities have grown.
+    /// lines (or banks) did in between. All buffers are lane-held
+    /// scratch — the hot path allocates nothing once their capacities
+    /// have grown.
     fn inject_for(
         &mut self,
         addr: LineAddr,
@@ -1418,8 +1409,6 @@ pub struct MemoryController {
     /// Recently committed write targets — the victim pool for chaos
     /// stuck-at bursts (bounded, deterministic order).
     recent_writes: VecDeque<LineAddr>,
-    /// Worker threads for [`MemoryController::advance`]; 1 = serial.
-    workers: usize,
     /// Cached lane minima serving the `next_event` / `process_until` /
     /// `advance_into` fast paths — those run once per event-loop
     /// iteration (tens of millions of times per cell), almost always
@@ -1510,7 +1499,6 @@ impl MemoryController {
             chaos_rng: rng,
             fault_log: Vec::new(),
             recent_writes: VecDeque::new(),
-            workers: 1,
             mins: std::cell::Cell::new(None),
             anomaly_scan: false,
         })
@@ -1523,8 +1511,8 @@ impl MemoryController {
     }
 
     /// Statistics collected so far — the per-bank lane slices folded in
-    /// bank order, so the totals are identical no matter how lanes were
-    /// scheduled across worker threads.
+    /// bank order, so the totals are identical no matter which order
+    /// lanes were processed in.
     #[must_use]
     pub fn stats(&self) -> CtrlStats {
         let mut total = CtrlStats::new();
@@ -1551,22 +1539,6 @@ impl MemoryController {
         total
     }
 
-    /// Sets the worker-thread count used by
-    /// [`MemoryController::advance`] to process independent bank lanes
-    /// concurrently. `1` (the default) keeps processing on the calling
-    /// thread. Results are bit-identical at every worker count: lanes
-    /// share no mutable state, all draws are counter-keyed, and
-    /// aggregates fold in fixed bank order.
-    pub fn set_advance_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured advance worker count.
-    #[must_use]
-    pub fn advance_workers(&self) -> usize {
-        self.workers
-    }
-
     /// Ages the DIMM: lines touched from now on receive hard errors
     /// sampled from `model` at `lifetime_fraction` (Figure 14).
     ///
@@ -1580,9 +1552,9 @@ impl MemoryController {
 
     /// Installs a chaos scenario, replacing any previous one. Faults
     /// fire as the committed-write counter crosses their trigger points.
-    /// While a scenario is installed the controller processes banks on
-    /// the serial global-time path regardless of the worker count, so
-    /// the scenario's shared draw order stays well-defined.
+    /// While a scenario is installed the controller processes banks in
+    /// global `(completion time, bank)` order, so the scenario's shared
+    /// draw order stays well-defined.
     pub fn install_chaos(&mut self, plan: ChaosPlan) {
         self.chaos = Some(ChaosEngine::new(plan));
     }
@@ -2048,13 +2020,11 @@ impl MemoryController {
     ///
     /// Bank lanes are mutually independent — every RNG draw is keyed by
     /// `(line, epoch)`, every accumulator is lane-local — so due lanes
-    /// can be processed in any order, or concurrently on worker threads,
-    /// and produce bit-identical state. The serial path walks lanes in
-    /// bank order; the parallel path shards due lanes across
-    /// `self.workers` threads and joins before returning. With a chaos
-    /// scenario installed, processing falls back to the legacy global
-    /// `(completion time, bank)` order so the scenario's shared
-    /// victim-selection draws stay well-defined.
+    /// can be processed in any order and produce bit-identical state;
+    /// this walks them in bank order. With a chaos scenario installed,
+    /// processing falls back to the legacy global `(completion time,
+    /// bank)` order so the scenario's shared victim-selection draws stay
+    /// well-defined.
     fn process_until(&mut self, now: Cycle) {
         // Cached fast path: no bank operation due (every submit and
         // every event-loop poll lands here first).
@@ -2063,18 +2033,8 @@ impl MemoryController {
         }
         self.mins.set(None);
         self.anomaly_scan = true;
-        let due = self
-            .lanes
-            .iter()
-            .filter(|l| l.bank.op.is_some() && l.bank.busy_until <= now)
-            .count();
-        if due == 0 {
-            return;
-        }
         if self.chaos.is_some() {
             self.process_until_chaos(now);
-        } else if self.workers > 1 && due > 1 {
-            self.process_until_parallel(now, due);
         } else {
             for i in 0..self.lanes.len() {
                 if self.lanes[i].bank.op.is_some() && self.lanes[i].bank.busy_until <= now {
@@ -2104,43 +2064,6 @@ impl MemoryController {
         }
     }
 
-    /// Shards due lanes across worker threads. Each worker processes a
-    /// contiguous chunk of `(LaneState, StoreLane)` pairs to completion;
-    /// the main thread takes the first chunk. Joining at the scope exit
-    /// is the per-step barrier.
-    fn process_until_parallel(&mut self, now: Cycle, due: usize) {
-        let sh = LaneShared {
-            cfg: &self.cfg,
-            geometry: &self.geometry,
-            policy: &self.policy,
-            injector: &self.injector,
-            codec: &self.codec,
-            hard_plan: self.hard_plan,
-            plant_stream: self.plant_stream,
-            track_commits: false,
-        };
-        let store_lanes = self.store.lanes_mut();
-        let mut jobs: Vec<(&mut LaneState, StoreLane<'_>)> = self
-            .lanes
-            .iter_mut()
-            .zip(store_lanes)
-            .filter(|(l, _)| l.bank.op.is_some() && l.bank.busy_until <= now)
-            .collect();
-        let workers = self.workers.min(due);
-        let per = jobs.len().div_ceil(workers);
-        let sh = &sh;
-        std::thread::scope(|scope| {
-            let mut chunks = jobs.chunks_mut(per);
-            let first = chunks.next();
-            for chunk in chunks {
-                scope.spawn(move || run_lane_chunk(sh, chunk, now));
-            }
-            if let Some(chunk) = first {
-                run_lane_chunk(sh, chunk, now);
-            }
-        });
-    }
-
     /// Hands a lane's freshly committed write addresses to the chaos
     /// harness, polling the fault plan once per commit (the legacy
     /// per-write granularity).
@@ -2156,7 +2079,6 @@ impl MemoryController {
             }
             self.apply_chaos(at);
         }
-        // Hand the (drained) buffer's capacity back to the lane.
     }
 
     // ----- chaos harness -----

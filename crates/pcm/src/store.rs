@@ -82,10 +82,9 @@ pub struct DeviceStore {
 
 /// The materialized lines and wear tally of a single bank.
 ///
-/// Keeping wear accounting per bank (merged on read) lets bank lanes be
-/// advanced concurrently without sharing a mutable meter; each lane
+/// Keeping wear accounting per bank (merged on read) means each bank lane
 /// charges wear in its own bank-local event order, so totals are
-/// independent of how lanes were scheduled across host threads.
+/// independent of the order lanes are processed in.
 #[derive(Debug, Default)]
 struct BankStore {
     lines: FxHashMap<(u32, u8), LineState>,
@@ -95,8 +94,8 @@ struct BankStore {
 /// Mutable view of one bank of the store.
 ///
 /// Holds everything needed to serve per-line device primitives for
-/// addresses within that bank, borrowed disjointly from the other banks
-/// so independent bank lanes can operate in parallel. Every method
+/// addresses within that bank, borrowed disjointly from the other banks.
+/// Every method
 /// debug-asserts that the address belongs to the viewed bank.
 #[derive(Debug)]
 pub struct StoreLane<'a> {
@@ -162,7 +161,7 @@ impl DeviceStore {
         self.banks.iter().map(|b| b.lines.len()).sum()
     }
 
-    /// Mutable view of one bank, for the bank-sharded controller lanes.
+    /// Mutable view of one bank, for the controller's bank lanes.
     ///
     /// # Panics
     /// Panics if `bank` is out of range for the geometry.
@@ -175,26 +174,6 @@ impl DeviceStore {
             bank_id: bank,
             bank: &mut self.banks[bank as usize],
         }
-    }
-
-    /// Disjoint mutable views of every bank at once, in bank order —
-    /// the parallel-advance path hands one to each worker.
-    #[must_use]
-    pub fn lanes_mut(&mut self) -> Vec<StoreLane<'_>> {
-        let geometry = &self.geometry;
-        let ecp_entries = self.ecp_entries;
-        let init = self.init;
-        self.banks
-            .iter_mut()
-            .enumerate()
-            .map(|(b, bank)| StoreLane {
-                geometry,
-                ecp_entries,
-                init,
-                bank_id: b as u16,
-                bank,
-            })
-            .collect()
     }
 
     fn line(&self, addr: LineAddr) -> Option<&LineState> {

@@ -85,8 +85,17 @@ fn default_workers_honours_env_override() {
     let prev = std::env::var(sweep::WORKERS_ENV).ok();
     std::env::set_var(sweep::WORKERS_ENV, "3");
     assert_eq!(sweep::default_workers(), 3);
+    // Unset or 0 falls back to the usable parallelism (the affinity
+    // mask), never the machine's full processor count.
+    let usable = std::thread::available_parallelism().map_or(1, |n| n.get());
     std::env::set_var(sweep::WORKERS_ENV, "0");
-    assert!(sweep::default_workers() >= 1, "0 falls back to autodetect");
+    assert_eq!(
+        sweep::default_workers(),
+        usable,
+        "0 falls back to autodetect"
+    );
+    std::env::remove_var(sweep::WORKERS_ENV);
+    assert_eq!(sweep::default_workers(), usable);
     match prev {
         Some(v) => std::env::set_var(sweep::WORKERS_ENV, v),
         None => std::env::remove_var(sweep::WORKERS_ENV),

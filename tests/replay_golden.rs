@@ -116,17 +116,37 @@ fn hierarchy_replay_matches_inline_for_figure11_schemes() {
     }
 }
 
+/// Inline hierarchy run of one cell: stats, PCM traffic, and the device
+/// content digest.
+fn hier_cell(scheme: &Scheme, params: &ExperimentParams) -> (String, (u64, u64), u64) {
+    let hparams = HierarchyParams::quick_test();
+    let mut sim = HierarchySim::build(scheme.clone(), BenchKind::Mcf, params, &hparams).unwrap();
+    let stats = sim.run().unwrap();
+    (
+        format!("{stats:?}"),
+        sim.pcm_traffic(),
+        sim.controller().store().content_digest(),
+    )
+}
+
 #[test]
 fn profiler_gate_does_not_perturb_results() {
     // The internal profiler must be observationally free: a cell run
-    // with probes firing (`SDPCM_PROF=1` / `--profile`) produces the
-    // same `RunStats` and device content digest as one without.
+    // with probes firing (`SDPCM_PROF=1`) produces the same `RunStats`,
+    // PCM traffic, and device content digest as one without, on both
+    // the system and the cache-hierarchy front end.
     let params = tiny();
     for scheme in [Scheme::baseline(), Scheme::lazyc_preread()] {
         sdpcm_engine::prof::set_enabled(false);
-        let off = inline_cell(&scheme, BenchKind::Mcf, &params);
+        let off = (
+            inline_cell(&scheme, BenchKind::Mcf, &params),
+            hier_cell(&scheme, &params),
+        );
         sdpcm_engine::prof::set_enabled(true);
-        let on = inline_cell(&scheme, BenchKind::Mcf, &params);
+        let on = (
+            inline_cell(&scheme, BenchKind::Mcf, &params),
+            hier_cell(&scheme, &params),
+        );
         sdpcm_engine::prof::set_enabled(false);
         assert_eq!(off, on, "{}: probes changed the simulation", scheme.name);
     }
