@@ -51,7 +51,7 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => p = params::criterion(),
+            "--quick" => p = params::quick(),
             "--bars" => bars = true,
             "--refs" => {
                 let v = it

@@ -2,14 +2,10 @@
 
 //! The SD-PCM benchmark harness.
 //!
-//! Two consumers share this crate:
-//!
-//! * the **`figures` binary** (`cargo run -p sdpcm-bench --release --bin
-//!   figures -- all`) regenerates every table and figure of the paper as
-//!   aligned text, using [`sdpcm_core::experiments`];
-//! * the **Criterion benches** (`cargo bench`) measure the simulator's
-//!   throughput on each figure's scenario, one bench target per
-//!   table/figure (see `benches/`).
+//! The **`figures` binary** (`cargo run -p sdpcm-bench --release --bin
+//! figures -- all`) regenerates every table and figure of the paper as
+//! aligned text, using [`sdpcm_core::experiments`]. Simulator throughput
+//! is measured by the separate `perfbench/` crate, not here.
 //!
 //! [`render`] turns experiment rows into [`TextTable`]s;
 //! [`params`] centralizes the reference counts used at each scale.
@@ -32,9 +28,9 @@ pub mod params {
         }
     }
 
-    /// Criterion scale: small enough that one sample is sub-second.
+    /// Quick scale (`figures --quick`): every figure in seconds.
     #[must_use]
-    pub fn criterion() -> ExperimentParams {
+    pub fn quick() -> ExperimentParams {
         ExperimentParams {
             refs_per_core: 1_000,
             ..ExperimentParams::quick_test()
@@ -113,16 +109,16 @@ mod tests {
     #[test]
     fn analytic_figures_render() {
         // The two analytic (non-simulation) targets render instantly.
-        let t1 = render_figure("table1", &params::criterion());
+        let t1 = render_figure("table1", &params::quick());
         assert_eq!(t1.len(), 2);
-        let cap = render_figure("capacity", &params::criterion());
+        let cap = render_figure("capacity", &params::quick());
         assert!(!cap.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "unknown figure id")]
     fn unknown_id_panics() {
-        let _ = render_figure("fig99", &params::criterion());
+        let _ = render_figure("fig99", &params::quick());
     }
 
     #[test]

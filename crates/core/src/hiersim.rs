@@ -15,16 +15,9 @@
 //! XOR a per-core toggle mask (the store path is presence/dirtiness
 //! only, per `sdpcm-cachesim`).
 //!
-//! Two front ends drive the same backend:
-//!
-//! * [`HierarchySim::build`] simulates the cache stacks inline;
-//! * [`HierarchySim::build_replay`] walks a [`HierTrace`] captured once
-//!   by [`HierTrace::capture`], skipping the cache simulation and the
-//!   absorbed (cache-resident) accesses entirely. Both produce
-//!   bit-identical [`RunStats`] and device state — the determinism
-//!   contract `DESIGN.md` spells out.
-
-use std::sync::Arc;
+//! Every core simulates its cache stack inline, driven by its own
+//! address stream and RNG; `tests/content_golden.rs` pins the resulting
+//! device state.
 
 use sdpcm_cachesim::cache::AccessKind as CacheAccess;
 use sdpcm_cachesim::hierarchy::CoreCaches;
@@ -39,10 +32,7 @@ use sdpcm_trace::{BenchKind, ToggleMask, Workload};
 
 use crate::config::{ExperimentParams, Scheme};
 use crate::error::{MapError, SdpcmError, SimError};
-use crate::hiertrace::{HierTrace, HierTraceMeta};
 use crate::metrics::RunStats;
-
-pub use crate::hiertrace::HierEvent;
 
 /// Knobs specific to hierarchy mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,24 +72,7 @@ impl HierarchyParams {
     }
 }
 
-/// Where a core's cache-level outcomes come from.
-enum HSource {
-    /// Simulate the cache stack inline.
-    Live {
-        stream: AddressStream,
-        caches: Box<CoreCaches>,
-        rng: SimRng,
-    },
-    /// Walk this core's slice of the shared [`HierTrace`].
-    Replay {
-        /// Next event index.
-        pos: usize,
-        /// Whether the current event's leading gap has been applied.
-        gap_done: bool,
-    },
-}
-
-/// A live-mode access whose cache outcome is known but whose controller
+/// An access whose cache outcome is known but whose controller
 /// interactions (write-backs, fill) must wait until the event loop
 /// reaches the access's start time. Produced when
 /// [`HierarchySim::step_core_live`] batches cache-resident accesses past
@@ -113,14 +86,15 @@ struct PendingAccess {
 }
 
 struct HCore {
-    src: HSource,
+    stream: AddressStream,
+    caches: Box<CoreCaches>,
+    rng: SimRng,
     ready_at: Cycle,
     accesses_done: u64,
     instructions: u64,
     blocked_on: Option<ReqId>,
     finish: Option<Cycle>,
-    /// Deferred non-absorbed access from a live batch (see
-    /// [`PendingAccess`]); replay cores never use it.
+    /// Deferred non-absorbed access from a batch (see [`PendingAccess`]).
     pending: Option<PendingAccess>,
 }
 
@@ -150,7 +124,6 @@ pub struct HierarchySim {
     ctrl: MemoryController,
     cores: Vec<HCore>,
     tables: Vec<PageTable>,
-    trace: Option<Arc<HierTrace>>,
     inflight: FxHashMap<ReqId, usize>,
     done_scratch: Vec<Completion>,
     next_id: u64,
@@ -163,7 +136,6 @@ impl std::fmt::Debug for HierarchySim {
         f.debug_struct("HierarchySim")
             .field("scheme", &self.scheme.name)
             .field("workload", &self.workload_name)
-            .field("replay", &self.trace.is_some())
             .finish()
     }
 }
@@ -178,102 +150,10 @@ impl HierarchySim {
         params: &ExperimentParams,
         hparams: &HierarchyParams,
     ) -> Result<HierarchySim, SdpcmError> {
-        let workload = Workload::homogeneous(bench);
-        let (ctrl, tables, mut rng) = HierarchySim::build_backend(&scheme, &workload, params)?;
-        let cores = workload
-            .profiles()
-            .iter()
-            .enumerate()
-            .map(|(core, profile)| HCore {
-                src: HSource::Live {
-                    stream: AddressStream::new(
-                        profile.pattern,
-                        profile.ws_pages,
-                        rng.derive(&format!("hier-addr{core}")),
-                    ),
-                    caches: Box::new(CoreCaches::new(hparams.caches)),
-                    rng: rng.derive(&format!("hier-core{core}")),
-                },
-                ready_at: Cycle::ZERO,
-                accesses_done: 0,
-                instructions: 0,
-                blocked_on: None,
-                finish: None,
-                pending: None,
-            })
-            .collect();
-        Ok(HierarchySim::assemble(
-            scheme, &workload, hparams, ctrl, tables, cores, None,
-        ))
-    }
-
-    /// Builds the system over a captured front-end trace: the same
-    /// backend, but cache outcomes replay from `trace` instead of being
-    /// re-simulated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TraceMismatch`] when the trace was captured
-    /// for different inputs than this run, plus everything
-    /// [`HierarchySim::build`] reports.
-    pub fn build_replay(
-        scheme: Scheme,
-        bench: BenchKind,
-        params: &ExperimentParams,
-        hparams: &HierarchyParams,
-        trace: &Arc<HierTrace>,
-    ) -> Result<HierarchySim, SdpcmError> {
-        let expect = HierTraceMeta::for_run(bench, params, hparams);
-        if trace.meta != expect {
-            return Err(SimError::TraceMismatch {
-                expect: format!("{:016x} ({})", expect.content_key(), expect.workload),
-                got: format!(
-                    "{:016x} ({})",
-                    trace.meta.content_key(),
-                    trace.meta.workload
-                ),
-            }
-            .into());
-        }
-        let workload = Workload::homogeneous(bench);
-        let (ctrl, tables, _rng) = HierarchySim::build_backend(&scheme, &workload, params)?;
-        let cores = (0..trace.per_core.len())
-            .map(|_| HCore {
-                src: HSource::Replay {
-                    pos: 0,
-                    gap_done: false,
-                },
-                ready_at: Cycle::ZERO,
-                accesses_done: 0,
-                instructions: 0,
-                blocked_on: None,
-                finish: None,
-                pending: None,
-            })
-            .collect();
-        Ok(HierarchySim::assemble(
-            scheme,
-            &workload,
-            hparams,
-            ctrl,
-            tables,
-            cores,
-            Some(trace.clone()),
-        ))
-    }
-
-    /// Validates parameters, builds the controller, and maps every
-    /// core's working set. Returns the parent RNG *after* the controller
-    /// stream has been derived — the point [`HierTrace::capture`]
-    /// mirrors before deriving the per-core front-end streams.
-    fn build_backend(
-        scheme: &Scheme,
-        workload: &Workload,
-        params: &ExperimentParams,
-    ) -> Result<(MemoryController, Vec<PageTable>, SimRng), SdpcmError> {
         params.validate()?;
+        let workload = Workload::homogeneous(bench);
         let mut rng = SimRng::from_seed_label(params.seed, "hier-system");
-        let geometry = params.geometry_for(workload, scheme.ratio)?;
+        let geometry = params.geometry_for(&workload, scheme.ratio)?;
         let cfg = CtrlConfig {
             write_queue_cap: params.write_queue_cap,
             ecp_entries: params.ecp_entries,
@@ -293,33 +173,44 @@ impl HierarchySim {
             }
             tables.push(table);
         }
-        Ok((ctrl, tables, rng))
-    }
+        // Free the OS allocator's buddy lists before the cache stacks are
+        // allocated, so they reuse that memory instead of growing the heap
+        // (the difference doubles build time on Table 2 caches).
+        drop(os);
 
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        scheme: Scheme,
-        workload: &Workload,
-        hparams: &HierarchyParams,
-        ctrl: MemoryController,
-        tables: Vec<PageTable>,
-        cores: Vec<HCore>,
-        trace: Option<Arc<HierTrace>>,
-    ) -> HierarchySim {
-        HierarchySim {
+        let cores = workload
+            .profiles()
+            .iter()
+            .enumerate()
+            .map(|(core, profile)| HCore {
+                stream: AddressStream::new(
+                    profile.pattern,
+                    profile.ws_pages,
+                    rng.derive(&format!("hier-addr{core}")),
+                ),
+                caches: Box::new(CoreCaches::new(hparams.caches)),
+                rng: rng.derive(&format!("hier-core{core}")),
+                ready_at: Cycle::ZERO,
+                accesses_done: 0,
+                instructions: 0,
+                blocked_on: None,
+                finish: None,
+                pending: None,
+            })
+            .collect();
+        Ok(HierarchySim {
             scheme,
             workload_name: workload.name().to_owned(),
             hparams: *hparams,
             ctrl,
             cores,
             tables,
-            trace,
             inflight: FxHashMap::default(),
             done_scratch: Vec::new(),
             next_id: 0,
             pcm_fills: 0,
             pcm_writebacks: 0,
-        }
+        })
     }
 
     /// The controller (diagnostics).
@@ -349,8 +240,7 @@ impl HierarchySim {
     }
 
     /// Posts a dirty write-back whose payload is the line's newest
-    /// architectural value with `mask` applied — the single payload
-    /// path both the live and the replay front end go through.
+    /// architectural value with `mask` applied.
     fn submit_writeback_mask(
         &mut self,
         core: usize,
@@ -427,10 +317,7 @@ impl HierarchySim {
                 if c.finish.is_some() || c.blocked_on.is_some() || c.ready_at > now {
                     continue;
                 }
-                match c.src {
-                    HSource::Live { .. } => self.step_core_live(core, now, quota)?,
-                    HSource::Replay { .. } => self.step_core_replay(core, now, quota)?,
-                }
+                self.step_core_live(core, now, quota)?;
             }
         }
 
@@ -467,7 +354,7 @@ impl HierarchySim {
         .into()
     }
 
-    /// One live-core turn. Cache-resident (absorbed) accesses are purely
+    /// One core turn. Cache-resident (absorbed) accesses are purely
     /// core-local — stream, RNG, and cache state are private, and they
     /// never touch the controller — so consecutive ones are retired in a
     /// batch here instead of bouncing through the event loop once per
@@ -493,14 +380,12 @@ impl HierarchySim {
         let insts = self.hparams.insts_per_access;
         let mut t = now;
         loop {
-            let HSource::Live {
+            let HCore {
                 stream,
                 caches,
                 rng,
-            } = &mut self.cores[core].src
-            else {
-                unreachable!("live step on a replay core")
-            };
+                ..
+            } = &mut self.cores[core];
             let (vpage, slot) = stream.next_line();
             let vline = vpage * LINES_PER_PAGE + u64::from(slot);
             let is_store = rng.chance(store_fraction);
@@ -554,46 +439,6 @@ impl HierarchySim {
             c.ready_at = t;
             return Ok(());
         }
-    }
-
-    fn step_core_replay(&mut self, core: usize, now: Cycle, quota: u64) -> Result<(), SdpcmError> {
-        let trace = self
-            .trace
-            .clone()
-            .expect("replay cores carry a shared trace");
-        let ct = &trace.per_core[core];
-        let insts = self.hparams.insts_per_access;
-        let HSource::Replay { pos, gap_done } = &mut self.cores[core].src else {
-            unreachable!("replay step on a live core")
-        };
-        if *pos == ct.events.len() {
-            // Only cache-resident accesses remain: they never touch the
-            // controller, so their aggregate latency is the finish time.
-            let c = &mut self.cores[core];
-            c.accesses_done += ct.tail_absorbed;
-            c.instructions += ct.tail_absorbed * insts;
-            c.finish = Some(now + Cycle(ct.tail_gap));
-            return Ok(());
-        }
-        let ev = &ct.events[*pos];
-        if !*gap_done && ev.gap > 0 {
-            // Absorbed accesses before this event: advance the core
-            // without touching the controller.
-            *gap_done = true;
-            self.cores[core].ready_at = now + Cycle(ev.gap);
-            return Ok(());
-        }
-        *pos += 1;
-        *gap_done = false;
-
-        for (vline, mask) in &ev.writebacks {
-            self.submit_writeback_mask(core, *vline, mask, now)?;
-        }
-        let c = &mut self.cores[core];
-        c.accesses_done += ev.absorbed + 1;
-        c.instructions += (ev.absorbed + 1) * insts;
-        let after = now + Cycle(ev.latency) + Cycle(insts);
-        self.finish_access(core, ev.fill, after, quota)
     }
 
     /// The shared back half of one access: block on an L3-miss fill,
@@ -707,45 +552,5 @@ mod tests {
         let (b, tb) = quick(Scheme::lazyc_preread(), BenchKind::Zeusmp);
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(ta, tb);
-    }
-
-    #[test]
-    fn replay_matches_inline_bit_for_bit() {
-        let params = ExperimentParams::quick_test();
-        let hparams = HierarchyParams::quick_test();
-        for bench in [BenchKind::Mcf, BenchKind::Wrf] {
-            let trace = HierTrace::capture(bench, &params, &hparams);
-            for scheme in [Scheme::baseline(), Scheme::lazyc_preread()] {
-                let mut inline =
-                    HierarchySim::build(scheme.clone(), bench, &params, &hparams).unwrap();
-                let a = inline.run().unwrap();
-                let mut replay =
-                    HierarchySim::build_replay(scheme, bench, &params, &hparams, &trace).unwrap();
-                let b = replay.run().unwrap();
-                assert_eq!(a, b, "stats must be bit-identical");
-                assert_eq!(inline.pcm_traffic(), replay.pcm_traffic());
-                assert_eq!(
-                    inline.controller().store().content_digest(),
-                    replay.controller().store().content_digest(),
-                    "device state must be bit-identical"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn replay_rejects_mismatched_trace() {
-        let params = ExperimentParams::quick_test();
-        let hparams = HierarchyParams::quick_test();
-        let trace = HierTrace::capture(BenchKind::Mcf, &params, &hparams);
-        let err = HierarchySim::build_replay(
-            Scheme::baseline(),
-            BenchKind::Wrf,
-            &params,
-            &hparams,
-            &trace,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("trace mismatch"), "{err}");
     }
 }

@@ -19,9 +19,6 @@
 //!   plain rows that the bench harness formats.
 //! * [`hiersim`] — the alternative full-hierarchy front end: cores →
 //!   L1/L2/L3 → controller, for cache-sensitivity studies.
-//! * [`hiertrace`] — capture-once/replay-many traces of the hierarchy
-//!   front end: the cache outcomes are recorded once per workload and
-//!   replayed bit-identically by every scheme cell.
 //! * [`sweep`] — the parallel sweep executor: independent figure cells
 //!   fan out over a scoped thread pool with outputs reassembled in
 //!   input order, bit-identical to a sequential run.
@@ -52,7 +49,6 @@ pub mod error;
 pub mod experiments;
 pub mod fault;
 pub mod hiersim;
-pub mod hiertrace;
 pub mod metrics;
 pub mod sweep;
 pub mod system;
@@ -61,7 +57,6 @@ pub mod tracestore;
 pub use config::{ExperimentParams, Scheme};
 pub use error::{ConfigError, MapError, SdpcmError, SimError};
 pub use fault::FaultPlan;
-pub use hiertrace::HierTrace;
 pub use metrics::RunStats;
 pub use system::SystemSim;
 pub use tracestore::TraceStore;

@@ -7,8 +7,6 @@
 //!
 //! * [`Cycle`] — the global simulated clock (CPU cycles at 4 GHz, per the
 //!   paper's Table 2), with nanosecond conversions.
-//! * [`EventQueue`] — a deterministic time-ordered event queue. Ties are
-//!   broken by insertion order so simulations are bit-for-bit reproducible.
 //! * [`SimRng`] — seeded random-number streams with stable per-component
 //!   derivation, so adding a new consumer of randomness does not perturb
 //!   the draws seen by existing components.
@@ -17,22 +15,24 @@
 //! * [`hash`] — a deterministic FxHash-style hasher for the simulator's
 //!   hot-path maps (the DoS-resistant std default is wasted cost here).
 //! * [`prof`] — the always-compiled, zero-cost-when-disabled profiler
-//!   behind `SDPCM_PROF=1` and `figures bench --profile`.
+//!   behind `SDPCM_PROF=1` and perfbench's `--trace 1`.
 //!
 //! # Examples
 //!
 //! ```
-//! use sdpcm_engine::{Cycle, EventQueue};
+//! use sdpcm_engine::{Cycle, SimRng};
 //!
-//! let mut q = EventQueue::new();
-//! q.push(Cycle(400), "read done");
-//! q.push(Cycle(100), "write issued");
-//! assert_eq!(q.pop(), Some((Cycle(100), "write issued")));
-//! assert_eq!(q.pop(), Some((Cycle(400), "read done")));
+//! // 4 GHz clock: one nanosecond is four cycles.
+//! let read_done = Cycle(100) + Cycle::from_ns(100);
+//! assert_eq!(read_done, Cycle(500));
+//!
+//! // Derived streams are stable: same seed and label, same draws.
+//! let mut a = SimRng::from_seed_label(7, "system").derive("ctrl");
+//! let mut b = SimRng::from_seed_label(7, "system").derive("ctrl");
+//! assert_eq!(a.index(512), b.index(512));
 //! ```
 
 pub mod clock;
-pub mod events;
 pub mod hash;
 pub mod prof;
 pub mod rng;
@@ -40,7 +40,6 @@ pub mod stats;
 pub mod table;
 
 pub use clock::Cycle;
-pub use events::EventQueue;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use rng::{ChanceGate, RngStream, SimRng};
 pub use stats::{Counter, Histogram, QuantileSketch, RunningStat};

@@ -165,7 +165,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Forces the gate (used by `figures bench --profile` and tests). Takes
+/// Forces the gate (used by perfbench's `--trace 1` and tests). Takes
 /// effect for probes fired after the call; does not clear counts.
 pub fn set_enabled(on: bool) {
     INIT.call_once(|| {});

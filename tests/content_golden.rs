@@ -1,8 +1,8 @@
 //! Absolute content-digest goldens.
 //!
-//! The relative goldens (`tests/replay_golden.rs`, `tests/cell_workers.rs`)
+//! The relative goldens (`tests/replay_golden.rs`, `tests/parallel_sweep.rs`)
 //! pin that two ways of running the same simulation agree; this file pins
-//! the simulation *output itself*. Any change that touches an RNG draw,
+//! the simulation *output itself*, for both front ends. Any change that touches an RNG draw,
 //! the draw-derivation scheme, or the simulated write path will move
 //! these constants — that is the point. Such a change invalidates every
 //! externally recorded digest at once and must be deliberate: update the
@@ -13,6 +13,7 @@
 //! values for this exact configuration were 0x3b33be6fbee0e0a7
 //! (baseline) and 0xe88236832b4cb32a (LazyC+PreRead).
 
+use sdpcm_core::hiersim::{HierarchyParams, HierarchySim};
 use sdpcm_core::{ExperimentParams, Scheme, SystemSim};
 use sdpcm_trace::BenchKind;
 
@@ -37,5 +38,32 @@ fn content_digests_match_pinned_goldens() {
             scheme.name
         );
         assert_eq!(stats.ctrl.writes.get(), writes, "{}", scheme.name);
+    }
+}
+
+#[test]
+fn hierarchy_content_digests_match_pinned_goldens() {
+    // The hierarchy front end has no second path to cross-check against,
+    // so its live cache simulation is pinned absolutely.
+    let golden: [(Scheme, u64, (u64, u64)); 2] = [
+        (Scheme::baseline(), 0x311a3704e86ccdee, (11996, 3247)),
+        (Scheme::lazyc_preread(), 0xbe85c139025b5d29, (11996, 3247)),
+    ];
+    for (scheme, digest, traffic) in golden {
+        let name = scheme.name.clone();
+        let mut sim = HierarchySim::build(
+            scheme,
+            BenchKind::Mcf,
+            &ExperimentParams::quick_test(),
+            &HierarchyParams::quick_test(),
+        )
+        .unwrap();
+        sim.run().unwrap();
+        assert_eq!(
+            sim.controller().store().content_digest(),
+            digest,
+            "{name}: hierarchy content digest moved (see module docs)"
+        );
+        assert_eq!(sim.pcm_traffic(), traffic, "{name}");
     }
 }

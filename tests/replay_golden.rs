@@ -13,7 +13,7 @@ use std::sync::Arc;
 use sdpcm_core::experiments::{run_cell, run_cell_replay};
 use sdpcm_core::hiersim::{HierarchyParams, HierarchySim};
 use sdpcm_core::sweep::parallel_map;
-use sdpcm_core::{ExperimentParams, HierTrace, Scheme, SystemSim, TraceStore};
+use sdpcm_core::{ExperimentParams, Scheme, SystemSim, TraceStore};
 use sdpcm_trace::{BenchKind, RefTrace, Workload};
 
 fn tiny() -> ExperimentParams {
@@ -90,29 +90,6 @@ fn trace_store_cells_match_inline_cells() {
             let b = run_cell_replay(&store, &scheme, bench, &params);
             assert_eq!(a, b, "{}/{}", scheme.name, bench.name());
         }
-    }
-}
-
-#[test]
-fn hierarchy_replay_matches_inline_for_figure11_schemes() {
-    let params = ExperimentParams::quick_test();
-    let hparams = HierarchyParams::quick_test();
-    let bench = BenchKind::Mcf;
-    let trace = HierTrace::capture(bench, &params, &hparams);
-    for scheme in Scheme::figure11_set() {
-        let mut inline = HierarchySim::build(scheme.clone(), bench, &params, &hparams).unwrap();
-        let a = inline.run().unwrap();
-        let mut replay =
-            HierarchySim::build_replay(scheme.clone(), bench, &params, &hparams, &trace).unwrap();
-        let b = replay.run().unwrap();
-        assert_eq!(a, b, "{} stats diverged", scheme.name);
-        assert_eq!(inline.pcm_traffic(), replay.pcm_traffic());
-        assert_eq!(
-            inline.controller().store().content_digest(),
-            replay.controller().store().content_digest(),
-            "{} device state diverged",
-            scheme.name
-        );
     }
 }
 
