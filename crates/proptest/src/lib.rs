@@ -118,6 +118,19 @@ pub mod strategy {
                     (self.start as i128 + rng.below(span) as i128) as $t
                 }
             }
+
+            impl Strategy for std::ops::RangeInclusive<$t> {
+                type Value = $t;
+                fn generate(&self, rng: &mut TestRng) -> $t {
+                    let (lo, hi) = (*self.start() as i128, *self.end() as i128);
+                    // A span of 2^64 (the full u64/i64 range) takes the raw draw.
+                    let off = match u64::try_from((hi - lo + 1).max(1)) {
+                        Ok(span) => rng.below(span),
+                        Err(_) => rng.next_u64(),
+                    };
+                    (lo + off as i128) as $t
+                }
+            }
         )*};
     }
     impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);

@@ -18,7 +18,25 @@
 //! programmed cells and then toward the old flag (to avoid gratuitous
 //! group rewrites).
 
-use sdpcm_pcm::line::{LineBuf, LINE_BITS};
+use sdpcm_pcm::line::{LineBuf, LINE_BITS, LINE_WORDS};
+
+/// Calls `Lanes::<K>::$f(args)` for a runtime group size `K`; every
+/// legal size (a power of two from 8 to 512) gets its own
+/// monomorphisation of the one kernel.
+macro_rules! for_group_bits {
+    ($k:expr, $f:ident($($arg:expr),*)) => {
+        match $k {
+            8 => Lanes::<8>::$f($($arg),*),
+            16 => Lanes::<16>::$f($($arg),*),
+            32 => Lanes::<32>::$f($($arg),*),
+            64 => Lanes::<64>::$f($($arg),*),
+            128 => Lanes::<128>::$f($($arg),*),
+            256 => Lanes::<256>::$f($($arg),*),
+            512 => Lanes::<512>::$f($($arg),*),
+            k => unreachable!("no {k}-bit inversion groups: the codecs admit 8..=512"),
+        }
+    };
+}
 
 /// Per-group inversion flags of one encoded line (up to 64 groups).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -66,12 +84,12 @@ impl DinCodec {
     ///
     /// # Panics
     ///
-    /// Panics unless `group_bits` divides 512 and yields at most 64
-    /// groups (the flag word) and at least 2 bits per group.
+    /// Panics unless `group_bits` divides 512 into at most 64 groups (the
+    /// flag word): a power of two from 8 to 512.
     #[must_use]
     pub fn new(group_bits: usize) -> DinCodec {
         assert!(
-            group_bits >= 2 && LINE_BITS.is_multiple_of(group_bits) && LINE_BITS / group_bits <= 64,
+            LINE_BITS.is_multiple_of(group_bits) && LINE_BITS / group_bits <= 64,
             "group size must divide 512 into at most 64 groups"
         );
         DinCodec { group_bits }
@@ -108,12 +126,27 @@ impl DinCodec {
     /// Encodes `plain` for storage over the currently stored (encoded)
     /// bits `stored_old`, returning the new encoded bits and flags.
     ///
-    /// Word-parallel implementation: each candidate's score touches only
-    /// the group's words plus one carry bit per side, so a full-line
-    /// encode costs a few dozen word operations instead of the naive
-    /// per-bit sweep (this sits on the per-write hot path of every DIN
-    /// scheme). Decisions and tie-breaks are bit-identical to the
-    /// straightforward per-bit scorer (see the equivalence test).
+    /// Mask-parallel kernel (this sits on the per-write hot path of every
+    /// DIN scheme). The greedy scan's only left-to-right dependency is the
+    /// previous group's polarity, and it reaches a group's score through
+    /// that group's last two cells alone: the last (a victim candidate,
+    /// and a RESET neighbour of this group's first cell) and the one
+    /// before it (the last cell's other RESET neighbour). So the kernel
+    ///
+    /// 1. builds the RESET and idle-`0` masks of both polarities across
+    ///    the whole line at once;
+    /// 2. takes every group's internal victim and programmed counts from
+    ///    per-lane popcounts (byte lanes for 8-bit groups, up to whole
+    ///    words summed per group for 128–512-bit groups), plus the
+    ///    boundary terms as one-bit masks at each group's first cell;
+    /// 3. compares the two polarities in biased lane arithmetic for both
+    ///    possible previous-group polarities, giving two decision masks
+    ///    with one bit per group;
+    /// 4. resolves the dependency with a bit-select scan over the groups
+    ///    and stores `plain` XOR the expanded inversion mask.
+    ///
+    /// Decisions and tie-breaks are bit-identical to the per-bit greedy
+    /// scorer described in the module docs (see the oracle tests).
     #[must_use]
     pub fn encode(
         &self,
@@ -121,87 +154,17 @@ impl DinCodec {
         stored_old: &LineBuf,
         old_flags: DinFlags,
     ) -> (LineBuf, DinFlags) {
-        let old = stored_old.words();
-        let pw = plain.words();
-        let mut enc = *old;
-        let mut flags = DinFlags::default();
-        for g in 0..self.groups() {
-            let lo = g * self.group_bits;
-            let hi = lo + self.group_bits;
-            // Victim window [wlo, whi): one bit into the previous
-            // (decided) group and one past the group's end.
-            let wlo = lo.saturating_sub(1);
-            let whi = (hi + 1).min(LINE_BITS);
-            // Words whose bits the score can touch: the deepest needed
-            // bit is `lo - 2` (left reset neighbour of the window's
-            // first bit); everything right of `hi` is still identical
-            // to `stored_old`, so its diff is zero.
-            let w0 = lo.saturating_sub(2) / 64;
-            let w1 = (whi - 1) / 64;
-
-            let mut best: Option<(u32, u32, bool)> = None;
-            for flag in [false, true] {
-                let inv = if flag { u64::MAX } else { 0 };
-                // Diff RESET bits per word, shifted by one index so the
-                // carry reads below never go out of bounds.
-                let mut reset = [0u64; LINE_BITS / 64 + 2];
-                let mut cand = [0u64; LINE_BITS / 64];
-                for w in w0..=w1 {
-                    let gmask = word_mask(w, lo, hi);
-                    let c = (enc[w] & !gmask) | ((pw[w] ^ inv) & gmask);
-                    cand[w] = c;
-                    reset[w + 1] = old[w] & !c;
-                }
-                let mut victims = 0u32;
-                let mut programmed = 0u32;
-                for w in w0..=w1 {
-                    let prog = old[w] ^ cand[w];
-                    // reset(b-1) / reset(b+1) for every bit of the word.
-                    let left = (reset[w + 1] << 1) | (reset[w] >> 63);
-                    let right = (reset[w + 1] >> 1) | (reset[w + 2] << 63);
-                    let vul = !prog & !cand[w] & (left | right) & word_mask(w, wlo, whi);
-                    victims += vul.count_ones();
-                    programmed += (prog & word_mask(w, lo, hi)).count_ones();
-                }
-                let better = match &best {
-                    None => true,
-                    Some((v, p, f)) => {
-                        victims < *v
-                            || (victims == *v && programmed < *p)
-                            || (victims == *v
-                                && programmed == *p
-                                && *f != old_flags.inverted(g)
-                                && flag == old_flags.inverted(g))
-                    }
-                };
-                if better {
-                    best = Some((victims, programmed, flag));
-                }
-            }
-            let (_, _, flag) = best.expect("two candidates evaluated");
-            let inv = if flag { u64::MAX } else { 0 };
-            for w in lo / 64..=(hi - 1) / 64 {
-                let gmask = word_mask(w, lo, hi);
-                enc[w] = (enc[w] & !gmask) | ((pw[w] ^ inv) & gmask);
-            }
-            flags = flags.with(g, flag);
-        }
-        (LineBuf::from_words(enc), flags)
+        let (encoded, flags) = for_group_bits!(
+            self.group_bits,
+            encode(plain.words(), stored_old.words(), old_flags.0)
+        );
+        (LineBuf::from_words(encoded), DinFlags(flags))
     }
 
     /// Decodes stored (encoded) bits back to plain data.
     #[must_use]
     pub fn decode(&self, stored: &LineBuf, flags: DinFlags) -> LineBuf {
-        let mut plain = *stored;
-        for g in 0..self.groups() {
-            if flags.inverted(g) {
-                let lo = g * self.group_bits;
-                for b in lo..lo + self.group_bits {
-                    plain.set_bit(b, !stored.bit(b));
-                }
-            }
-        }
-        plain
+        invert_groups(stored, self.group_bits, flags)
     }
 }
 
@@ -211,21 +174,181 @@ impl Default for DinCodec {
     }
 }
 
-/// The bits of half-open range `[a, b)` that fall inside word `w`, as a
-/// mask over that word.
-fn word_mask(w: usize, a: usize, b: usize) -> u64 {
-    let start = a.max(w * 64);
-    let end = b.min(w * 64 + 64);
-    if start >= end {
-        return 0;
+/// `line` with every group whose flag is set inverted: the decode of
+/// both inversion codecs (DIN and [`crate::fnw`]).
+pub(crate) fn invert_groups(line: &LineBuf, group_bits: usize, flags: DinFlags) -> LineBuf {
+    let mask = for_group_bits!(group_bits, inversion_mask(flags.0));
+    line.xor(&LineBuf::from_words(mask))
+}
+
+/// `pattern` repeated every `period` bits of a word.
+const fn repeat(period: usize, pattern: u64) -> u64 {
+    let mut word = 0;
+    let mut at = 0;
+    while at < 64 {
+        word |= pattern << at;
+        at += period;
     }
-    let len = end - start;
-    let ones = if len == 64 {
-        u64::MAX
-    } else {
-        (1u64 << len) - 1
+    word
+}
+
+/// Lane geometry of the mask-parallel kernel for `K`-bit groups. A word
+/// holds `LANES` lanes of `LANE = min(K, 64)` bits; a lane is one whole
+/// group when `K <= 64`, and a group spans `SPAN = K / 64` words
+/// otherwise. Groups never straddle a lane, so per-lane sums never
+/// carry into a neighbour.
+struct Lanes<const K: usize>;
+
+impl<const K: usize> Lanes<K> {
+    const LANE: usize = if K < 64 { K } else { 64 };
+    const LANES: usize = 64 / Self::LANE;
+    const SPAN: usize = if K > 64 { K / 64 } else { 1 };
+    /// Each lane's least significant bit.
+    const LOW: u64 = repeat(Self::LANE, 1);
+    /// Each lane's most significant bit (the sign of a biased compare).
+    const TOP: u64 = Self::LOW << (Self::LANE - 1);
+    /// Multiplier moving lane `i`'s bit 0 to bit `64 - LANES + i`.
+    const GATHER: u64 = {
+        let mut m = 0;
+        let mut j = 0;
+        while j < Self::LANES {
+            m |= 1 << (Self::LANE * (j + 1) - 1 - j);
+            j += 1;
+        }
+        m
     };
-    ones << (start - w * 64)
+    /// All ones across one lane.
+    const FILL: u64 = u64::MAX >> (64 - Self::LANE);
+
+    /// Per-lane population counts (each lane holds its own count).
+    fn count(x: u64) -> u64 {
+        let x = x - ((x >> 1) & repeat(2, 0b01));
+        let x = (x & repeat(4, 0b0011)) + ((x >> 2) & repeat(4, 0b0011));
+        let mut x = (x + (x >> 4)) & repeat(8, 0x0f);
+        let mut width = 8;
+        while width < Self::LANE {
+            x = (x + (x >> width)) & repeat(2 * width, (1 << width) - 1);
+            width *= 2;
+        }
+        x
+    }
+
+    /// The flags of word `w`'s lanes, one per lane at the lane's bit 0.
+    fn spread(w: usize, flags: u64) -> u64 {
+        let first = w * Self::LANES / Self::SPAN;
+        let mut x = (flags >> first) & (u64::MAX >> (64 - Self::LANES));
+        // Halve the chunks until every flag sits in its own lane.
+        let mut chunk = Self::LANES / 2;
+        while chunk >= 1 {
+            x = (x | (x << ((Self::LANE - 1) * chunk)))
+                & repeat(Self::LANE * chunk, (1 << chunk) - 1);
+            chunk /= 2;
+        }
+        x
+    }
+
+    /// Each lane's bit 0 (all other bits clear) gathered into the low
+    /// `LANES` bits, lane 0 lowest.
+    fn gather(low_bits: u64) -> u64 {
+        low_bits.wrapping_mul(Self::GATHER) >> (64 - Self::LANES)
+    }
+
+    /// The 512-bit inversion mask of `flags`: every cell of an inverted
+    /// group set.
+    fn inversion_mask(flags: u64) -> [u64; LINE_WORDS] {
+        std::array::from_fn(|w| Self::spread(w, flags).wrapping_mul(Self::FILL))
+    }
+
+    /// The encode kernel behind [`DinCodec::encode`] (see its rustdoc).
+    fn encode(
+        plain: &[u64; LINE_WORDS],
+        old: &[u64; LINE_WORDS],
+        old_flags: u64,
+    ) -> ([u64; LINE_WORDS], u64) {
+        // Per polarity f (stored value plain ^ f): cells RESET 1 -> 0,
+        // and idle cells left at 0 (the only word-line victims).
+        let reset = [
+            std::array::from_fn::<u64, LINE_WORDS, _>(|w| old[w] & !plain[w]),
+            std::array::from_fn::<u64, LINE_WORDS, _>(|w| old[w] & plain[w]),
+        ];
+        let idle = [
+            std::array::from_fn::<u64, LINE_WORDS, _>(|w| !old[w] & !plain[w]),
+            std::array::from_fn::<u64, LINE_WORDS, _>(|w| !old[w] & plain[w]),
+        ];
+        let not_old: [u64; LINE_WORDS] = std::array::from_fn(|w| !old[w]);
+        // Neighbour views: bit b of `left(x, w, s)` is cell b - s, of
+        // `right(x, w)` cell b + 1; cells past the line read as 0.
+        let left = |x: &[u64; LINE_WORDS], w: usize, s: u32| {
+            (x[w] << s) | w.checked_sub(1).map_or(0, |v| x[v] >> (64 - s))
+        };
+        let right =
+            |x: &[u64; LINE_WORDS], w: usize| (x[w] >> 1) | x.get(w + 1).map_or(0, |n| n << 63);
+
+        // Decision masks: bit g of `decide[p]` is group g's greedy flag
+        // when group g - 1 was stored with polarity p.
+        let mut decide = [0u64; 2];
+        for q in 0..LINE_WORDS / Self::SPAN {
+            // Lane sums over the group's words: victims per polarity,
+            // cells programmed by the plain polarity, and the boundary
+            // victims `adj[f][p]` that depend on the previous group.
+            let (mut victims, mut prog, mut adj) = ([0u64; 2], 0u64, [[0u64; 2]; 2]);
+            for w in q * Self::SPAN..(q + 1) * Self::SPAN {
+                let start = if w % Self::SPAN == 0 { Self::LOW } else { 0 };
+                let end = if w % Self::SPAN == Self::SPAN - 1 {
+                    Self::TOP
+                } else {
+                    0
+                };
+                // Group starts with a previous group (every start but cell 0).
+                let first = if w == 0 { start & !1 } else { start };
+                for f in 0..2 {
+                    let r = &reset[f];
+                    // Idle-0 cells beside a RESET in the same group, plus the
+                    // next group's first cell (still as stored, so idle iff
+                    // 0) beside a RESET of this group's last cell.
+                    let v = (idle[f][w] & ((left(r, w, 1) & !start) | (right(r, w) & !end)))
+                        | (end & r[w] & right(&not_old, w));
+                    victims[f] += Self::count(v);
+                    for p in 0..2 {
+                        let rp = &reset[p];
+                        // The group's first cell, victim of the previous
+                        // group's RESET (when not already counted above)...
+                        let own = idle[f][w] & !right(r, w) & left(rp, w, 1);
+                        // ...and the previous group's last cell, victim of
+                        // its own neighbour or of this group's first cell.
+                        let prev = left(&idle[p], w, 1) & (left(rp, w, 2) | r[w]);
+                        adj[f][p] += (first & own) + (first & prev);
+                    }
+                }
+                prog += Self::count(old[w] ^ plain[w]);
+            }
+            // Ties on victims and programmed cells keep the old flag.
+            let old_top = Self::spread(q * Self::SPAN, old_flags) << (Self::LANE - 1);
+            let half = (K / 2) as u64;
+            let prog_gt = (prog + Self::TOP - (half + 1) * Self::LOW) & Self::TOP;
+            let prog_eq = (prog + Self::TOP - half * Self::LOW) & Self::TOP & !prog_gt;
+            for (p, d) in decide.iter_mut().enumerate() {
+                // Biased per-lane victims(plain) - victims(inverted): lane
+                // values stay below 2^(LANE-1) so nothing borrows.
+                let x = victims[0] + adj[0][p] + Self::TOP - (victims[1] + adj[1][p]);
+                let gt = (x - Self::LOW) & Self::TOP;
+                let eq = x & Self::TOP & !gt;
+                let choose = gt | (eq & (prog_gt | (prog_eq & old_top)));
+                *d |= Self::gather(choose >> (Self::LANE - 1)) << (q * Self::LANES);
+            }
+        }
+
+        // Each group picks from the mask of its predecessor's polarity.
+        let mut flags = 0u64;
+        let mut prev = 0u64;
+        for g in 0..LINE_BITS / K {
+            let d = decide[0] ^ ((decide[0] ^ decide[1]) & prev.wrapping_neg());
+            prev = (d >> g) & 1;
+            flags |= prev << g;
+        }
+        let inv = Self::inversion_mask(flags);
+        (std::array::from_fn(|w| plain[w] ^ inv[w]), flags)
+    }
 }
 
 #[cfg(test)]
@@ -235,7 +358,9 @@ mod tests {
     use sdpcm_engine::SimRng;
     use sdpcm_pcm::line::DiffMask;
 
-    /// The straightforward per-bit encoder the word-parallel
+    const GROUP_SIZES: [usize; 7] = [8, 16, 32, 64, 128, 256, 512];
+
+    /// The straightforward per-bit greedy encoder the mask-parallel
     /// [`DinCodec::encode`] must match decision-for-decision.
     fn encode_reference(
         codec: &DinCodec,
@@ -301,36 +426,166 @@ mod tests {
         (enc, flags)
     }
 
+    /// The per-bit decoder the group-mask XOR of [`DinCodec::decode`]
+    /// must match.
+    fn decode_reference(codec: &DinCodec, stored: &LineBuf, flags: DinFlags) -> LineBuf {
+        let mut plain = *stored;
+        for g in 0..codec.groups() {
+            if flags.inverted(g) {
+                let lo = g * codec.group_bits();
+                for b in lo..lo + codec.group_bits() {
+                    plain.set_bit(b, !stored.bit(b));
+                }
+            }
+        }
+        plain
+    }
+
+    /// Asserts both kernels against the oracles on one case and returns
+    /// the encode, so callers can chain writes.
+    fn check_case(
+        codec: &DinCodec,
+        plain: &LineBuf,
+        stored: &LineBuf,
+        flags: DinFlags,
+        what: &dyn Fn() -> String,
+    ) -> (LineBuf, DinFlags) {
+        let fast = codec.encode(plain, stored, flags);
+        let slow = encode_reference(codec, plain, stored, flags);
+        assert_eq!(fast, slow, "encode diverges: {}", what());
+        assert_eq!(
+            codec.decode(stored, flags),
+            decode_reference(codec, stored, flags),
+            "decode diverges: {}",
+            what()
+        );
+        assert_eq!(
+            codec.decode(&fast.0, fast.1),
+            *plain,
+            "roundtrip: {}",
+            what()
+        );
+        fast
+    }
+
+    /// Edge-case lines: uniform, alternating, lone bits at the line and
+    /// word edges, and pairs straddling every word boundary (which
+    /// 128..512-bit groups span, and smaller groups' victim windows
+    /// cross).
+    fn edge_lines() -> Vec<LineBuf> {
+        let zero = LineBuf::zeroed();
+        let mut lines = vec![
+            zero,
+            zero.not(),
+            LineBuf::from_words([0x5555_5555_5555_5555; LINE_WORDS]),
+            LineBuf::from_words([0xaaaa_aaaa_aaaa_aaaa; LINE_WORDS]),
+        ];
+        for bit in [0, 1, 63, 64, 127, 128, 255, 256, 511] {
+            let mut one = zero;
+            one.set_bit(bit, true);
+            lines.push(one);
+            lines.push(one.not());
+        }
+        for w in 1..LINE_WORDS {
+            let mut pair = zero;
+            pair.set_bit(64 * w - 1, true);
+            pair.set_bit(64 * w, true);
+            lines.push(pair);
+            lines.push(pair.not());
+        }
+        lines
+    }
+
     #[test]
-    fn word_parallel_encode_matches_reference() {
-        for group_bits in [8, 16, 32, 64, 128, 256, 512] {
+    fn kernels_match_oracles_on_edge_lines() {
+        let lines = edge_lines();
+        let old_flags = [0, u64::MAX];
+        for group_bits in GROUP_SIZES {
             let codec = DinCodec::new(group_bits);
-            let mut rng = SimRng::from_seed(77 + group_bits as u64);
-            let mut stored = LineBuf::zeroed();
-            let mut flags = DinFlags::default();
-            for round in 0..200 {
-                // Mix dense random lines with sparse ones (few
-                // programmed bits) so both crowded and empty victim
-                // windows are exercised.
-                let plain = if round % 3 == 0 {
-                    let mut sparse = stored;
-                    for _ in 0..4 {
+            for (pi, plain) in lines.iter().enumerate() {
+                for (si, stored) in lines.iter().enumerate() {
+                    for &f in &old_flags {
+                        check_case(&codec, plain, stored, DinFlags(f), &|| {
+                            format!("group_bits={group_bits} plain#{pi} stored#{si} flags={f:#x}")
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ties_keep_the_old_flag_under_both_polarities() {
+        // Alternating data over a uniform line: both polarities program
+        // half the group and RESET nothing (over zeros) or leave no idle
+        // zero (over ones), so every group ties and keeps its old flag.
+        let alt = LineBuf::from_words([0x5555_5555_5555_5555; LINE_WORDS]);
+        for group_bits in GROUP_SIZES {
+            let codec = DinCodec::new(group_bits);
+            let all = u64::MAX >> (64 - codec.groups());
+            for stored in [LineBuf::zeroed(), LineBuf::zeroed().not()] {
+                for old in [
+                    0,
+                    all,
+                    0x5555_5555_5555_5555 & all,
+                    0xaaaa_aaaa_aaaa_aaaa & all,
+                ] {
+                    let (_, flags) = check_case(&codec, &alt, &stored, DinFlags(old), &|| {
+                        format!("group_bits={group_bits} old={old:#x}")
+                    });
+                    assert_eq!(flags, DinFlags(old), "group_bits={group_bits}");
+                }
+            }
+        }
+    }
+
+    /// Chained encode/decode cases against the oracles: dense random
+    /// lines, sparse flips of the stored line (near-empty victim
+    /// windows), and random old flags (so ties break both ways).
+    fn soak(group_bits: usize, seed: u64, cases: usize) {
+        let codec = DinCodec::new(group_bits);
+        let mut rng = SimRng::from_seed(seed);
+        let mut stored = LineBuf::zeroed();
+        let mut flags = DinFlags::default();
+        for case in 0..cases {
+            let plain = match case % 4 {
+                0 => {
+                    let mut sparse = codec.decode(&stored, flags);
+                    for _ in 0..1 + rng.next_u64() % 6 {
                         let b = (rng.next_u64() % LINE_BITS as u64) as usize;
                         sparse.set_bit(b, !sparse.bit(b));
                     }
                     sparse
-                } else {
+                }
+                1 => {
+                    flags = DinFlags(rng.next_u64());
                     random_line(&mut rng)
-                };
-                let fast = codec.encode(&plain, &stored, flags);
-                let slow = encode_reference(&codec, &plain, &stored, flags);
-                assert_eq!(
-                    fast, slow,
-                    "divergence at group_bits={group_bits} round={round}"
-                );
-                (stored, flags) = fast;
-            }
+                }
+                _ => random_line(&mut rng),
+            };
+            (stored, flags) = check_case(&codec, &plain, &stored, flags, &|| {
+                format!("group_bits={group_bits} seed={seed} case={case}")
+            });
         }
+    }
+
+    #[test]
+    fn mask_parallel_kernels_match_oracles() {
+        for group_bits in GROUP_SIZES {
+            soak(group_bits, 77 + group_bits as u64, 300);
+        }
+    }
+
+    /// Release-mode soak: one million chained cases per group size, one
+    /// thread per size (the per-bit oracles dominate the run time).
+    #[test]
+    #[ignore = "soak: run with cargo test --release -p sdpcm-wd -- --ignored"]
+    fn mask_parallel_kernels_match_oracles_soak() {
+        std::thread::scope(|s| {
+            for group_bits in GROUP_SIZES {
+                s.spawn(move || soak(group_bits, 0x50a6 + group_bits as u64, 1_000_000));
+            }
+        });
     }
 
     fn random_line(rng: &mut SimRng) -> LineBuf {

@@ -15,7 +15,7 @@
 
 use sdpcm_pcm::line::{DiffMask, LineBuf, LINE_BITS};
 
-use crate::din::DinFlags;
+use crate::din::{invert_groups, DinFlags};
 
 /// The Flip-N-Write codec.
 ///
@@ -45,12 +45,12 @@ impl FnwCodec {
     ///
     /// # Panics
     ///
-    /// Panics unless `group_bits` divides 512 into at most 64 groups of
-    /// at least 2 bits.
+    /// Panics unless `group_bits` divides 512 into at most 64 groups: a
+    /// power of two from 8 to 512.
     #[must_use]
     pub fn new(group_bits: usize) -> FnwCodec {
         assert!(
-            group_bits >= 2 && LINE_BITS.is_multiple_of(group_bits) && LINE_BITS / group_bits <= 64,
+            LINE_BITS.is_multiple_of(group_bits) && LINE_BITS / group_bits <= 64,
             "group size must divide 512 into at most 64 groups"
         );
         FnwCodec { group_bits }
@@ -110,19 +110,11 @@ impl FnwCodec {
         (encoded, flags)
     }
 
-    /// Decodes stored bits back to plain data.
+    /// Decodes stored bits back to plain data (the group-mask XOR shared
+    /// with [`crate::din::DinCodec::decode`]).
     #[must_use]
     pub fn decode(&self, stored: &LineBuf, flags: DinFlags) -> LineBuf {
-        let mut plain = *stored;
-        for g in 0..self.groups() {
-            if flags.inverted(g) {
-                let lo = g * self.group_bits;
-                for b in lo..lo + self.group_bits {
-                    plain.set_bit(b, !stored.bit(b));
-                }
-            }
-        }
-        plain
+        invert_groups(stored, self.group_bits, flags)
     }
 
     /// Cells the encoded write programs (FNW's objective).

@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn din_roundtrips_any_history(
         plains in vec(line_strategy(), 1..6),
-        group_pow in 3usize..7, // 8..64-bit groups
+        group_pow in 3usize..=9, // 8..512-bit groups
     ) {
         let codec = DinCodec::new(1 << group_pow);
         let mut stored = LineBuf::zeroed();
