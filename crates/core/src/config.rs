@@ -1,8 +1,10 @@
 //! Scheme definitions (§5.3) and experiment parameters.
 
-use sdpcm_memctrl::CtrlScheme;
+use sdpcm_engine::SimRng;
+use sdpcm_memctrl::{CtrlConfig, CtrlError, CtrlScheme, MemoryController};
 use sdpcm_osalloc::NmRatio;
 use sdpcm_pcm::geometry::MemGeometry;
+use sdpcm_pcm::wear::HardErrorModel;
 use sdpcm_trace::Workload;
 
 use crate::error::ConfigError;
@@ -185,6 +187,27 @@ impl ExperimentParams {
             });
         }
         Ok(MemGeometry::small(rows_per_bank as u32))
+    }
+
+    /// The memory controller both front ends run: Table 2 defaults for
+    /// `scheme` with this write-queue depth and ECP size, aged to
+    /// `dimm_age` when one is set.
+    pub(crate) fn controller(
+        &self,
+        scheme: CtrlScheme,
+        geometry: MemGeometry,
+        rng: SimRng,
+    ) -> Result<MemoryController, CtrlError> {
+        let cfg = CtrlConfig {
+            write_queue_cap: self.write_queue_cap,
+            ecp_entries: self.ecp_entries,
+            ..CtrlConfig::table2(scheme)
+        };
+        let mut ctrl = MemoryController::try_new(cfg, geometry, rng)?;
+        if let Some(age) = self.dimm_age {
+            ctrl.set_dimm_age(HardErrorModel::default(), age);
+        }
+        Ok(ctrl)
     }
 }
 

@@ -24,7 +24,7 @@ use sdpcm_cachesim::hierarchy::CoreCaches;
 use sdpcm_engine::hash::FxHashMap;
 use sdpcm_engine::prof::{self, Site};
 use sdpcm_engine::{Cycle, SimRng};
-use sdpcm_memctrl::{Access, AccessKind, Completion, CtrlConfig, MemoryController, ReqId};
+use sdpcm_memctrl::{Access, AccessKind, Completion, MemoryController, ReqId};
 use sdpcm_osalloc::{NmAllocator, PageTable};
 use sdpcm_pcm::geometry::{LineAddr, PageId};
 use sdpcm_trace::addr::{AddressStream, LINES_PER_PAGE};
@@ -154,12 +154,7 @@ impl HierarchySim {
         let workload = Workload::homogeneous(bench);
         let mut rng = SimRng::from_seed_label(params.seed, "hier-system");
         let geometry = params.geometry_for(&workload, scheme.ratio)?;
-        let cfg = CtrlConfig {
-            write_queue_cap: params.write_queue_cap,
-            ecp_entries: params.ecp_entries,
-            ..CtrlConfig::table2(scheme.ctrl)
-        };
-        let ctrl = MemoryController::try_new(cfg, geometry, rng.derive("ctrl"))?;
+        let ctrl = params.controller(scheme.ctrl, geometry, rng.derive("ctrl"))?;
 
         let mut os = NmAllocator::new(geometry.total_pages());
         let mut tables = Vec::new();
@@ -544,6 +539,30 @@ mod tests {
             din.total_cycles
         );
         assert!(base.ctrl.verification_ops.get() > 0);
+    }
+
+    #[test]
+    fn dimm_age_reaches_the_controller() {
+        let digest = |dimm_age| {
+            let params = ExperimentParams {
+                dimm_age,
+                ..ExperimentParams::quick_test()
+            };
+            let mut sim = HierarchySim::build(
+                Scheme::lazyc(),
+                BenchKind::Mcf,
+                &params,
+                &HierarchyParams::quick_test(),
+            )
+            .unwrap();
+            sim.run().unwrap();
+            sim.controller().store().content_digest()
+        };
+        assert_ne!(
+            digest(Some(0.9)),
+            digest(None),
+            "an aged DIMM must plant hard errors"
+        );
     }
 
     #[test]

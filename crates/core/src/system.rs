@@ -16,11 +16,10 @@ use std::sync::Arc;
 use sdpcm_engine::hash::FxHashMap;
 use sdpcm_engine::prof::{self, Site};
 use sdpcm_engine::{Cycle, SimRng};
-use sdpcm_memctrl::{Access, AccessKind, Completion, CtrlConfig, MemoryController, ReqId};
+use sdpcm_memctrl::{Access, AccessKind, Completion, MemoryController, ReqId};
 use sdpcm_osalloc::{NmAllocator, PageTable, Tlb};
 use sdpcm_pcm::geometry::LineAddr;
 use sdpcm_pcm::line::LineBuf;
-use sdpcm_pcm::wear::HardErrorModel;
 use sdpcm_trace::{BenchKind, RefSource, RefTrace, ToggleMask, TraceRef, Workload};
 
 use crate::config::{ExperimentParams, Scheme};
@@ -136,15 +135,7 @@ impl SystemSim {
         params.validate()?;
         let mut rng = SimRng::from_seed_label(params.seed, "system");
         let geometry = params.geometry_for(workload, scheme.ratio)?;
-        let cfg = CtrlConfig {
-            write_queue_cap: params.write_queue_cap,
-            ecp_entries: params.ecp_entries,
-            ..CtrlConfig::table2(scheme.ctrl)
-        };
-        let mut ctrl = MemoryController::try_new(cfg, geometry, rng.derive("ctrl"))?;
-        if let Some(age) = params.dimm_age {
-            ctrl.set_dimm_age(HardErrorModel::default(), age);
-        }
+        let ctrl = params.controller(scheme.ctrl, geometry, rng.derive("ctrl"))?;
         Ok((ctrl, rng))
     }
 

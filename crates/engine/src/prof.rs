@@ -58,9 +58,9 @@ pub enum Site {
     CtrlVerify,
     /// Correction/OwnFix writes (RESET of disturbed cells).
     CtrlCorrect,
-    /// `DeviceStore` architectural/raw line reads.
+    /// Device-store architectural/raw line reads.
     StoreRead,
-    /// `DeviceStore::apply_write` differential writes.
+    /// `StoreLane::apply_write` differential writes.
     StoreWrite,
     /// `WdInjector` word-line/bit-line draw batches.
     WdDraw,

@@ -5,6 +5,12 @@
 //! in-flight bank operation finishes, and [`MemoryController::advance`]
 //! to process everything up to a time and collect completions.
 //!
+//! Every run walks one event path: bank operations complete in global
+//! `(busy_until, bank)` order, and completions leave one controller-wide
+//! queue in `(at, id)` order. Each bank's logic runs as an independent
+//! lane, so the order banks are visited in is unobservable — it only
+//! fixes the draw order of the chaos harness.
+//!
 //! Per bank (Table 2: 16 banks, 32-entry write queue per bank):
 //!
 //! * reads have priority and queue FIFO;
@@ -24,7 +30,9 @@
 //! shared channel bus (≈8 cycles per 64 B burst) is not modelled — it is
 //! two orders of magnitude below the array latencies that dominate.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use sdpcm_engine::hash::{FxHashMap, FxHashSet};
 use sdpcm_engine::prof::{self, Site};
@@ -165,6 +173,33 @@ impl Bank {
         !self.wq_index.is_empty() && self.wq_index.contains_key(&addr)
     }
 
+    /// Data of the newest queued write to `addr`, if any.
+    fn queued_data(&self, addr: LineAddr) -> Option<LineBuf> {
+        if !self.wq_contains(addr) {
+            return None;
+        }
+        let e = self.write_q.iter().rev().find(|e| e.access.addr == addr)?;
+        e.access.kind.write_data()
+    }
+
+    /// The data a read of `addr` must observe instead of the array: the
+    /// newest queued write, else the write job in flight, else the
+    /// paused one. Jobs whose array write already committed count only
+    /// when `committed_too` is set.
+    fn pending_data(&self, addr: LineAddr, committed_too: bool) -> Option<LineBuf> {
+        let in_flight = match &self.op {
+            Some(BankOp::Write(job)) => Some(job),
+            _ => None,
+        };
+        self.queued_data(addr).or_else(|| {
+            [in_flight, self.paused.as_ref()]
+                .into_iter()
+                .flatten()
+                .find(|job| job.entry.access.addr == addr && (committed_too || !job.committed))
+                .and_then(|job| job.entry.access.kind.write_data())
+        })
+    }
+
     /// Index maintenance for a `write_q` push (front or back).
     #[inline]
     fn wq_note_push(&mut self, addr: LineAddr) {
@@ -196,7 +231,7 @@ struct LaneShared<'a> {
     geometry: &'a MemGeometry,
     policy: &'a VerifyPolicy,
     injector: &'a WdInjector,
-    codec: &'a Option<DinCodec>,
+    codec: &'a DinCodec,
     hard_plan: Option<(HardErrorModel, f64)>,
     /// Root stream for first-touch hard-error planting; each line draws
     /// from `plant_stream.keyed(line.stream_key())`, so planting is
@@ -211,11 +246,13 @@ struct LaneShared<'a> {
 ///
 /// Each bank owns its queues, its architectural metadata (DIN flags,
 /// salvage pool, degradation ladder), and — crucially — its *own
-/// permanent accumulators* (statistics, energy, completions). Per-bank
-/// accumulation keeps every floating-point and histogram sum in a fixed
-/// bank-local order regardless of the order lanes are processed in;
+/// permanent accumulators* (statistics, energy). Per-bank accumulation
+/// keeps every floating-point and histogram sum in a fixed bank-local
+/// order regardless of the order lanes are processed in;
 /// [`MemoryController::stats`] folds the lanes together in bank order at
-/// read time, so aggregate totals are path-independent.
+/// read time, so aggregate totals are path-independent. Completions go
+/// to the controller's one queue, whose `(at, id)` order does not depend
+/// on which lane pushed first.
 struct LaneState {
     bank_id: u16,
     bank: Bank,
@@ -239,11 +276,6 @@ struct LaneState {
     stats: CtrlStats,
     /// This lane's energy slice.
     energy: EnergyMeter,
-    /// Completions queued by this lane, drained by `advance_into`.
-    completions: Vec<Completion>,
-    /// Earliest queued completion (exact: pushes can only lower it,
-    /// drains recompute it).
-    completion_min: Option<Cycle>,
     /// First broken deep invariant seen by this lane, surfaced as a
     /// `CtrlError` at the next `submit`/`advance`.
     pending_anomaly: Option<&'static str>,
@@ -272,8 +304,6 @@ impl LaneState {
             inject_epochs: FxHashMap::default(),
             stats: CtrlStats::new(),
             energy: EnergyMeter::new(EnergyParams::default()),
-            completions: Vec::new(),
-            completion_min: None,
             pending_anomaly: None,
             next_internal_seq: 0,
             wl_scratch: Vec::new(),
@@ -282,12 +312,22 @@ impl LaneState {
         }
     }
 
-    /// Queues a completion, keeping the earliest-completion cache exact.
-    fn push_completion(&mut self, c: Completion) {
-        if self.completion_min.is_none_or(|m| c.at < m) {
-            self.completion_min = Some(c.at);
+    /// The architectural (error-corrected, DIN-decoded) contents of
+    /// `addr`, given its ECP-patched array read. Salvaged lines answer
+    /// from their buffer without reading the array.
+    fn architectural(
+        &self,
+        codec: &DinCodec,
+        addr: LineAddr,
+        patched: impl FnOnce() -> LineBuf,
+    ) -> LineBuf {
+        match self.salvaged.get(&addr) {
+            Some(data) => *data,
+            None => codec.decode(
+                &patched(),
+                self.flags.get(&addr).copied().unwrap_or_default(),
+            ),
         }
-        self.completions.push(c);
     }
 
     /// Records a broken deep invariant; the first one is surfaced as a
@@ -313,12 +353,44 @@ impl LaneState {
 /// device store, processed against the shared read-only context. The
 /// entire per-bank controller logic lives here; lanes touch nothing
 /// outside their own bank (bit-line neighbours are same-bank adjacent
-/// rows), so lanes can be processed in any order.
+/// rows) except the shared completion queue, which orders its contents
+/// itself, so lanes can be processed in any order.
 struct Lane<'a, 's> {
     sh: &'a LaneShared<'a>,
     ls: &'a mut LaneState,
     store: &'a mut StoreLane<'s>,
+    done: &'a mut BinaryHeap<Due>,
 }
+
+/// A queued completion, ordered so the controller's max-heap pops the
+/// earliest `(at, id)` first.
+struct Due(Completion);
+
+impl Due {
+    fn key(&self) -> (Cycle, ReqId) {
+        (self.0.at, self.0.id)
+    }
+}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Due) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Due) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Due {
+    fn eq(&self, other: &Due) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Due {}
 
 /// Clears from `patched` every cell of `line` that `job` still tracks
 /// as disturbed-but-unfixed: cells of queued corrections and ECP
@@ -361,33 +433,34 @@ fn cleanse_job_disturbances(
 }
 
 impl Lane<'_, '_> {
-    /// Brings this lane current to `now`: completes every due bank
-    /// operation in sequence and re-dispatches after each. Lanes are
-    /// mutually independent, so processing one to completion before
-    /// another yields the same per-lane states as the global
-    /// time-ordered interleave.
-    fn process_lane_until(&mut self, now: Cycle) {
-        while self.ls.bank.op.is_some() && self.ls.bank.busy_until <= now {
-            let at = self.ls.bank.busy_until;
-            self.complete_op(at);
-            self.dispatch(at);
-        }
-    }
-
     /// The architectural (error-corrected, DIN-decoded) contents of a
     /// line in this bank — zero simulated time.
     fn architectural_line(&self, addr: LineAddr) -> LineBuf {
-        if let Some(data) = self.ls.salvaged.get(&addr) {
-            return *data;
-        }
-        let patched = self.store.read_line(addr);
-        match self.sh.codec {
-            Some(codec) => {
-                let flags = self.ls.flags.get(&addr).copied().unwrap_or_default();
-                codec.decode(&patched, flags)
-            }
-            None => patched,
-        }
+        self.ls
+            .architectural(self.sh.codec, addr, || self.store.read_line(addr))
+    }
+
+    /// Queues a completion on the controller-wide queue: a read's when
+    /// `data` is given, a write's otherwise.
+    fn push_completion(&mut self, id: ReqId, at: Cycle, data: Option<LineBuf>) {
+        self.done.push(Due(Completion {
+            id,
+            at,
+            was_write: data.is_none(),
+            data,
+        }));
+    }
+
+    /// Answers a read at `at` with `data`, whatever served it (salvage
+    /// pool, write-queue forward or the array).
+    fn complete_read(&mut self, access: &Access, at: Cycle, data: LineBuf) {
+        self.ls.stats.reads.inc();
+        self.ls.stats.read_latency_total += at - access.arrive;
+        self.ls
+            .stats
+            .read_latency_sketch
+            .record((at - access.arrive).0);
+        self.push_completion(access.id, at, Some(data));
     }
 
     // ----- submission -----
@@ -397,64 +470,14 @@ impl Lane<'_, '_> {
         // operation, no disturbance, `forward_latency` to answer.
         if let Some(data) = self.ls.salvaged.get(&access.addr).copied() {
             self.ls.stats.salvaged_reads.inc();
-            self.ls.stats.reads.inc();
-            let at = now + self.sh.cfg.forward_latency;
-            self.ls.stats.read_latency_total += at - access.arrive;
-            self.ls
-                .stats
-                .read_latency_sketch
-                .record((at - access.arrive).0);
-            self.ls.push_completion(Completion {
-                id: access.id,
-                at,
-                was_write: false,
-                data: Some(data),
-            });
+            self.complete_read(&access, now + self.sh.cfg.forward_latency, data);
             return;
         }
         // Forward from the write queue (newest entry wins) or from the
-        // write job in flight.
-        let from_queue = if self.ls.bank.wq_contains(access.addr) {
-            self.ls
-                .bank
-                .write_q
-                .iter()
-                .rev()
-                .find(|e| e.access.addr == access.addr)
-                .map(|e| e.access.kind)
-        } else {
-            None
-        };
-        let forwarded = from_queue
-            .or_else(|| match &self.ls.bank.op {
-                Some(BankOp::Write(job)) if job.entry.access.addr == access.addr => {
-                    Some(job.entry.access.kind)
-                }
-                _ => None,
-            })
-            .or_else(|| {
-                self.ls
-                    .bank
-                    .paused
-                    .as_ref()
-                    .filter(|job| job.entry.access.addr == access.addr)
-                    .map(|job| job.entry.access.kind)
-            });
-        if let Some(AccessKind::Write(data)) = forwarded {
+        // write job in flight or paused.
+        if let Some(data) = self.ls.bank.pending_data(access.addr, true) {
             self.ls.stats.read_forwards.inc();
-            self.ls.stats.reads.inc();
-            let at = now + self.sh.cfg.forward_latency;
-            self.ls.stats.read_latency_total += at - access.arrive;
-            self.ls
-                .stats
-                .read_latency_sketch
-                .record((at - access.arrive).0);
-            self.ls.push_completion(Completion {
-                id: access.id,
-                at,
-                was_write: false,
-                data: Some(data),
-            });
+            self.complete_read(&access, now + self.sh.cfg.forward_latency, data);
             return;
         }
         self.ls.bank.read_q.push_back(access);
@@ -469,13 +492,7 @@ impl Lane<'_, '_> {
         if let Some(buf) = self.ls.salvaged.get_mut(&access.addr) {
             *buf = data;
             self.ls.stats.salvaged_writes.inc();
-            let at = now + self.sh.cfg.forward_latency;
-            self.ls.push_completion(Completion {
-                id: access.id,
-                at,
-                was_write: true,
-                data: None,
-            });
+            self.push_completion(access.id, now + self.sh.cfg.forward_latency, None);
             return;
         }
         // Coalesce with a queued write to the same line.
@@ -488,12 +505,7 @@ impl Lane<'_, '_> {
                 .find(|e| e.access.addr == access.addr)
             {
                 e.access.kind = AccessKind::Write(data);
-                self.ls.push_completion(Completion {
-                    id: access.id,
-                    at: now,
-                    was_write: true,
-                    data: None,
-                });
+                self.push_completion(access.id, now, None);
                 return;
             }
         }
@@ -529,22 +541,10 @@ impl Lane<'_, '_> {
             let Some(n) = neighbors[side.idx()] else {
                 continue;
             };
-            if !self.ls.bank.wq_contains(n) {
-                continue;
-            }
-            let queued = self
-                .ls
-                .bank
-                .write_q
-                .iter()
-                .rev()
-                .find(|e| e.access.addr == n);
-            if let Some(e) = queued {
-                if let AccessKind::Write(data) = e.access.kind {
-                    entry.pr_done[side.idx()] = true;
-                    entry.pr_buf[side.idx()] = Some(data);
-                    self.ls.stats.preread_forwards.inc();
-                }
+            if let Some(data) = self.ls.bank.queued_data(n) {
+                entry.pr_done[side.idx()] = true;
+                entry.pr_buf[side.idx()] = Some(data);
+                self.ls.stats.preread_forwards.inc();
             }
         }
     }
@@ -566,10 +566,7 @@ impl Lane<'_, '_> {
                         return;
                     }
                 }
-                if let Some(mut job) = b.paused.take() {
-                    let dur = self.step_duration(&mut job);
-                    self.ls.bank.busy_until = now + dur;
-                    self.ls.bank.op = Some(BankOp::Write(job));
+                if self.resume_paused(now) {
                     return;
                 }
                 // Service one burst's worth of writes, then release the
@@ -591,13 +588,10 @@ impl Lane<'_, '_> {
                 self.start_read(access, now);
                 return;
             }
-            if let Some(mut job) = b.paused.take() {
-                let dur = self.step_duration(&mut job);
-                self.ls.bank.busy_until = now + dur;
-                self.ls.bank.op = Some(BankOp::Write(job));
+            if self.resume_paused(now) {
                 return;
             }
-            if b.write_q.len() >= self.sh.cfg.write_queue_cap {
+            if self.ls.bank.write_q.len() >= self.sh.cfg.write_queue_cap {
                 self.arm_drain();
                 continue;
             }
@@ -614,53 +608,55 @@ impl Lane<'_, '_> {
     }
 
     fn start_write(&mut self, entry: WqEntry, now: Cycle) {
-        let need = self.verify_need(&entry.access);
-        let mut job = WriteJob::new(entry, need.0, need.1, self.sh.cfg.scheme.own_line_verify);
-        let dur = self.step_duration(&mut job);
-        self.ls.bank.busy_until = now + dur;
-        self.ls.bank.op = Some(BankOp::Write(Box::new(job)));
+        let [up, down] = self.verify_need(&entry.access);
+        let job = WriteJob::new(entry, up, down, self.sh.cfg.scheme.own_line_verify);
+        self.run_step(Box::new(job), now);
     }
 
-    /// Which neighbours of this write need verification: scheme VnC off →
-    /// none; otherwise the (n:m) policy decides, and physically absent
-    /// neighbours (bank edges) or decommissioned ones (served from the
-    /// salvage pool, nothing architectural to protect) never need it.
-    fn verify_need(&self, access: &Access) -> (bool, bool) {
+    /// Puts the paused write job (if any) back on the bank.
+    fn resume_paused(&mut self, now: Cycle) -> bool {
+        let Some(job) = self.ls.bank.paused.take() else {
+            return false;
+        };
+        self.run_step(job, now);
+        true
+    }
+
+    /// Occupies the bank with the job's front step from `now`.
+    fn run_step(&mut self, mut job: Box<WriteJob>, now: Cycle) {
+        let dur = self.step_duration(&mut job);
+        self.ls.bank.busy_until = now + dur;
+        self.ls.bank.op = Some(BankOp::Write(job));
+    }
+
+    /// Which neighbours of this write need verification, indexed by
+    /// [`Side::idx`]: scheme VnC off → none; otherwise the (n:m) policy
+    /// decides, and physically absent neighbours (bank edges) or
+    /// decommissioned ones (served from the salvage pool, nothing
+    /// architectural to protect) never need it.
+    fn verify_need(&self, access: &Access) -> [bool; 2] {
         if !self.sh.cfg.scheme.vnc {
-            return (false, false);
+            return [false, false];
         }
         let strip = self.sh.geometry.strip_of(access.addr);
         let need = self.sh.policy.need(access.ratio, strip);
         let nb = self.sh.geometry.bitline_neighbors(access.addr);
         let live = |n: Option<LineAddr>| n.is_some_and(|n| !self.ls.salvaged.contains_key(&n));
-        (need.up && live(nb[0]), need.down && live(nb[1]))
+        [need.up && live(nb[0]), need.down && live(nb[1])]
     }
 
     fn try_issue_preread(&mut self, now: Cycle) -> bool {
         // Oldest queued write with an outstanding, needed pre-read. The
         // scan only needs shared borrows, so the queue is walked in place
         // rather than snapshotted.
-        let mut target: Option<(LineAddr, Side)> = None;
-        if self.sh.cfg.scheme.vnc {
-            let cap = self.sh.cfg.write_queue_cap;
-            'scan: for e in self.ls.bank.write_q.iter().take(cap) {
-                let addr = e.access.addr;
-                let strip = self.sh.geometry.strip_of(addr);
-                let need = self.sh.policy.need(e.access.ratio, strip);
-                let nb = self.sh.geometry.bitline_neighbors(addr);
-                for side in Side::BOTH {
-                    let needed = match side {
-                        Side::Up => need.up,
-                        Side::Down => need.down,
-                    } && nb[side.idx()]
-                        .is_some_and(|n| !self.ls.salvaged.contains_key(&n));
-                    if needed && !e.pr_done[side.idx()] {
-                        target = Some((addr, side));
-                        break 'scan;
-                    }
-                }
-            }
-        }
+        let cap = self.sh.cfg.write_queue_cap;
+        let target = self.ls.bank.write_q.iter().take(cap).find_map(|e| {
+            let need = self.verify_need(&e.access);
+            Side::BOTH
+                .into_iter()
+                .find(|side| need[side.idx()] && !e.pr_done[side.idx()])
+                .map(|side| (e.access.addr, side))
+        });
         let Some((write_line, side)) = target else {
             return false;
         };
@@ -782,20 +778,9 @@ impl Lane<'_, '_> {
         };
         match op {
             BankOp::Read(access) => {
-                self.ls.stats.reads.inc();
-                self.ls.stats.read_latency_total += at - access.arrive;
-                self.ls
-                    .stats
-                    .read_latency_sketch
-                    .record((at - access.arrive).0);
                 self.ls.energy.charge_read(512, false);
                 let data = self.architectural_line(access.addr);
-                self.ls.push_completion(Completion {
-                    id: access.id,
-                    at,
-                    was_write: false,
-                    data: Some(data),
-                });
+                self.complete_read(&access, at, data);
             }
             BankOp::IdlePreRead { write_line, side } => {
                 self.ls.energy.charge_read(512, true);
@@ -833,9 +818,7 @@ impl Lane<'_, '_> {
                     self.ls.stats.write_pauses.inc();
                     self.ls.bank.paused = Some(job);
                 } else {
-                    let dur = self.step_duration(&mut job);
-                    self.ls.bank.busy_until = at + dur;
-                    self.ls.bank.op = Some(BankOp::Write(job));
+                    self.run_step(job, at);
                 }
             }
         }
@@ -863,13 +846,8 @@ impl Lane<'_, '_> {
                 };
                 self.plant_hard(addr);
                 let raw_old = self.store.raw_line(addr);
-                let (encoded, new_flags) = match self.sh.codec {
-                    Some(codec) => {
-                        let old_flags = self.ls.flags.get(&addr).copied().unwrap_or_default();
-                        codec.encode(&plain, &raw_old, old_flags)
-                    }
-                    None => (plain, DinFlags::default()),
-                };
+                let old_flags = self.ls.flags.get(&addr).copied().unwrap_or_default();
+                let (encoded, new_flags) = self.sh.codec.encode(&plain, &raw_old, old_flags);
                 let diff = DiffMask::between(&raw_old, &encoded);
                 let dur = t.write_latency(&diff);
                 job.diff = Some(diff);
@@ -916,20 +894,13 @@ impl Lane<'_, '_> {
                     .charge_write(diff.set_count(), diff.reset_count(), false);
                 self.store.apply_write(addr, &diff, WriteClass::Normal);
                 self.store.refresh_hard_values(addr, &encoded);
-                if self.sh.codec.is_some() {
-                    self.ls.flags.insert(addr, job.new_flags);
-                }
+                self.ls.flags.insert(addr, job.new_flags);
                 // A normal write clears the line's own buffered WD errors
                 // (LazyCorrection consolidation, §4.2).
                 self.store.ecp_mut(addr).clear_disturb();
                 job.committed = true;
                 self.ls.stats.writes.inc();
-                self.ls.push_completion(Completion {
-                    id: job.entry.access.id,
-                    at,
-                    was_write: true,
-                    data: None,
-                });
+                self.push_completion(job.entry.access.id, at, None);
                 // Disturbance injection.
                 let wl = self.inject_for(addr, &diff, Some(&mut job.pending_wl));
                 self.ls.stats.wl_errors.record(wl as u64);
@@ -944,7 +915,8 @@ impl Lane<'_, '_> {
                     job.injected[side.idx()].extend_from_slice(&self.ls.bl_hits[side.idx()]);
                 }
                 // Chaos bookkeeping: the controller drains these after
-                // the lane call returns (serial chaos path only).
+                // each completed operation (only while a plan is
+                // installed).
                 if self.sh.track_commits {
                     self.ls.recent_commits.push(addr);
                 }
@@ -1219,14 +1191,14 @@ impl Lane<'_, '_> {
         }
         // Reconstruct the architectural content: raw array bits, minus
         // every disturbance the controller knows about (WD only flips
-        // 0 -> 1, so their correct value is 0), DIN-decoded when encoding
-        // is in force. "Knows about" spans more than `new_errors`: the
-        // in-flight job (and a paused sibling) may still hold unserved
-        // fixes for this line — queued `Correction`/`EcpWrite` cells,
-        // cascade victims awaiting their verify, and injected-but-not-
-        // yet-post-read neighbour victims. Those steps are dropped below,
-        // so their cells must be cleansed here or the crystallized bits
-        // would be frozen into the salvage snapshot as data.
+        // 0 -> 1, so their correct value is 0), DIN-decoded. "Knows
+        // about" spans more than `new_errors`: the in-flight job (and a
+        // paused sibling) may still hold unserved fixes for this line —
+        // queued `Correction`/`EcpWrite` cells, cascade victims awaiting
+        // their verify, and injected-but-not-yet-post-read neighbour
+        // victims. Those steps are dropped below, so their cells must be
+        // cleansed here or the crystallized bits would be frozen into the
+        // salvage snapshot as data.
         let mut patched = self.store.read_line(line);
         for &bit in new_errors {
             patched.set_bit(bit as usize, false);
@@ -1235,13 +1207,7 @@ impl Lane<'_, '_> {
         if let Some(paused) = &self.ls.bank.paused {
             cleanse_job_disturbances(self.sh.geometry, paused, line, &mut patched);
         }
-        let data = match self.sh.codec {
-            Some(codec) => {
-                let flags = self.ls.flags.get(&line).copied().unwrap_or_default();
-                codec.decode(&patched, flags)
-            }
-            None => patched,
-        };
+        let data = self.ls.architectural(self.sh.codec, line, || patched);
         self.ls.salvaged.insert(line, data);
         self.ls.distress.remove(&line);
         self.ls.escalated.remove(&line);
@@ -1273,16 +1239,10 @@ impl Lane<'_, '_> {
             }
         };
         if let Some(e) = removed {
-            if let AccessKind::Write(d) = e.access.kind {
+            if let Some(d) = e.access.kind.write_data() {
                 self.ls.salvaged.insert(line, d);
             }
-            let at = at + self.sh.cfg.forward_latency;
-            self.ls.push_completion(Completion {
-                id: e.access.id,
-                at,
-                was_write: true,
-                data: None,
-            });
+            self.push_completion(e.access.id, at + self.sh.cfg.forward_latency, None);
         }
         true
     }
@@ -1392,7 +1352,7 @@ pub struct MemoryController {
     store: DeviceStore,
     policy: VerifyPolicy,
     injector: WdInjector,
-    codec: Option<DinCodec>,
+    codec: DinCodec,
     /// Per-bank lanes: queues, architectural metadata, and accumulator
     /// slices. Aggregate views ([`MemoryController::stats`]) fold them
     /// in bank order.
@@ -1402,33 +1362,27 @@ pub struct MemoryController {
     plant_stream: RngStream,
     start_gap: Option<Vec<StartGap>>,
     chaos: Option<ChaosEngine>,
-    /// Sequential RNG for chaos victim selection — chaos scenarios run
-    /// on the serial path, where a shared draw order is well-defined.
+    /// Sequential RNG for chaos victim selection — bank operations
+    /// complete in one global order, so a shared draw order is
+    /// well-defined.
     chaos_rng: SimRng,
     fault_log: Vec<FaultEvent>,
     /// Recently committed write targets — the victim pool for chaos
     /// stuck-at bursts (bounded, deterministic order).
     recent_writes: VecDeque<LineAddr>,
-    /// Cached lane minima serving the `next_event` / `process_until` /
-    /// `advance_into` fast paths — those run once per event-loop
-    /// iteration (tens of millions of times per cell), almost always
-    /// with nothing due, and must not rescan 16 lanes each time. Outer
-    /// `None` = stale; every `&mut self` path that changes bank
-    /// occupancy or queues a completion resets it.
-    mins: std::cell::Cell<Option<EventMins>>,
+    /// Every queued completion, earliest `(at, id)` on top.
+    completions: BinaryHeap<Due>,
+    /// Cached earliest `busy_until` across occupied banks, serving the
+    /// `next_event` / `process_until` fast paths — those run once per
+    /// event-loop iteration (tens of millions of times per cell), almost
+    /// always with nothing due, and must not rescan 16 lanes each time.
+    /// Outer `None` = stale; every `&mut self` path that changes bank
+    /// occupancy resets it.
+    op_min: std::cell::Cell<Option<Option<Cycle>>>,
     /// Whether lane work ran since the last anomaly sweep. Anomalies
     /// can only be noted while a lane processes, so `take_anomaly`
     /// skips its 16-lane scan on the (dominant) no-work polls.
     anomaly_scan: bool,
-}
-
-/// See [`MemoryController::event_mins`].
-#[derive(Clone, Copy)]
-struct EventMins {
-    /// Earliest `busy_until` across occupied banks.
-    op: Option<Cycle>,
-    /// Earliest queued completion across lanes.
-    completion: Option<Cycle>,
 }
 
 impl std::fmt::Debug for MemoryController {
@@ -1473,7 +1427,6 @@ impl MemoryController {
             cfg.scheme.spacing,
             rng.derive("injector"),
         );
-        let codec = cfg.scheme.din_wordline.then(DinCodec::paper_default);
         let plant_stream = rng.derive_stream("hard-plant");
         Ok(MemoryController {
             cfg,
@@ -1481,7 +1434,7 @@ impl MemoryController {
             store,
             policy: VerifyPolicy::new(geometry.strips()),
             injector,
-            codec,
+            codec: DinCodec::paper_default(),
             lanes: (0..geometry.banks()).map(LaneState::new).collect(),
             hard_plan: None,
             plant_stream,
@@ -1499,7 +1452,8 @@ impl MemoryController {
             chaos_rng: rng,
             fault_log: Vec::new(),
             recent_writes: VecDeque::new(),
-            mins: std::cell::Cell::new(None),
+            completions: BinaryHeap::new(),
+            op_min: std::cell::Cell::new(None),
             anomaly_scan: false,
         })
     }
@@ -1551,10 +1505,10 @@ impl MemoryController {
     }
 
     /// Installs a chaos scenario, replacing any previous one. Faults
-    /// fire as the committed-write counter crosses their trigger points.
-    /// While a scenario is installed the controller processes banks in
-    /// global `(completion time, bank)` order, so the scenario's shared
-    /// draw order stays well-defined.
+    /// fire as the committed-write counter crosses their trigger points,
+    /// polled after every bank operation in the controller's global
+    /// `(completion time, bank)` order, so the scenario's shared draw
+    /// order is well-defined.
     pub fn install_chaos(&mut self, plan: ChaosPlan) {
         self.chaos = Some(ChaosEngine::new(plan));
     }
@@ -1670,6 +1624,7 @@ impl MemoryController {
             sh: &sh,
             ls: &mut self.lanes[bank],
             store: &mut store,
+            done: &mut self.completions,
         };
         f(&mut lane)
     }
@@ -1687,18 +1642,8 @@ impl MemoryController {
     /// write payloads and by tests to check consistency.
     #[must_use]
     pub fn architectural_line(&self, addr: LineAddr) -> LineBuf {
-        let lane = &self.lanes[addr.bank.0 as usize];
-        if let Some(data) = lane.salvaged.get(&addr) {
-            return *data;
-        }
-        let patched = self.store.read_line(addr);
-        match &self.codec {
-            Some(codec) => {
-                let flags = lane.flags.get(&addr).copied().unwrap_or_default();
-                codec.decode(&patched, flags)
-            }
-            None => patched,
-        }
+        self.lanes[addr.bank.0 as usize]
+            .architectural(&self.codec, addr, || self.store.read_line(addr))
     }
 
     /// Whether a write to `addr` can be accepted right now without
@@ -1736,68 +1681,37 @@ impl MemoryController {
     /// [`MemoryController::latest_architectural`] on an already-physical
     /// address (gap-move copies).
     fn latest_architectural_physical(&self, addr: LineAddr) -> LineBuf {
-        let b = &self.lanes[addr.bank.0 as usize].bank;
-        let from_queue = if b.wq_contains(addr) {
-            b.write_q
-                .iter()
-                .rev()
-                .find(|e| e.access.addr == addr)
-                .map(|e| e.access.kind)
-        } else {
-            None
-        };
-        let queued = from_queue
-            .or_else(|| match &b.op {
-                Some(BankOp::Write(job)) if !job.committed && job.entry.access.addr == addr => {
-                    Some(job.entry.access.kind)
-                }
-                _ => None,
-            })
-            .or_else(|| {
-                b.paused
-                    .as_ref()
-                    .filter(|job| !job.committed && job.entry.access.addr == addr)
-                    .map(|job| job.entry.access.kind)
-            });
-        if let Some(AccessKind::Write(data)) = queued {
-            return data;
-        }
-        self.architectural_line(addr)
+        self.lanes[addr.bank.0 as usize]
+            .bank
+            .pending_data(addr, false)
+            .unwrap_or_else(|| self.architectural_line(addr))
     }
 
     /// Earliest time anything observable happens: an in-flight bank
     /// operation completes or an already-scheduled completion (e.g. a
-    /// forwarded read) becomes due. One pass over the (16) lanes, each
-    /// serving both components from plain fields.
+    /// forwarded read) becomes due.
     #[must_use]
     pub fn next_event(&self) -> Option<Cycle> {
-        let m = self.event_mins();
-        match (m.op, m.completion) {
+        let due = self.completions.peek().map(|d| d.0.at);
+        match (self.earliest_op(), due) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
-    /// The cached lane minima, rescanned (and re-cached) only after a
-    /// mutation marked them stale.
-    fn event_mins(&self) -> EventMins {
-        if let Some(m) = self.mins.get() {
+    /// The earliest `busy_until` across occupied banks, rescanned (and
+    /// re-cached) only after a mutation marked the cache stale.
+    fn earliest_op(&self) -> Option<Cycle> {
+        if let Some(m) = self.op_min.get() {
             return m;
         }
-        let mut op: Option<Cycle> = None;
-        let mut completion: Option<Cycle> = None;
-        for l in &self.lanes {
-            if l.bank.op.is_some() && op.is_none_or(|m| l.bank.busy_until < m) {
-                op = Some(l.bank.busy_until);
-            }
-            if let Some(c) = l.completion_min {
-                if completion.is_none_or(|m| c < m) {
-                    completion = Some(c);
-                }
-            }
-        }
-        let m = EventMins { op, completion };
-        self.mins.set(Some(m));
+        let m = self
+            .lanes
+            .iter()
+            .filter(|l| l.bank.op.is_some())
+            .map(|l| l.bank.busy_until)
+            .min();
+        self.op_min.set(Some(m));
         m
     }
 
@@ -1820,7 +1734,7 @@ impl MemoryController {
             }
             self.with_lane(i, |lane| lane.dispatch(now));
         }
-        self.mins.set(None);
+        self.op_min.set(None);
         self.anomaly_scan = true;
     }
 
@@ -1867,7 +1781,7 @@ impl MemoryController {
             }
             lane.dispatch(now);
         });
-        self.mins.set(None);
+        self.op_min.set(None);
         self.anomaly_scan = true;
         Ok(())
     }
@@ -1987,66 +1901,32 @@ impl MemoryController {
         out.clear();
         self.process_until(now);
         self.take_anomaly(now)?;
-        // Cached fast path: nothing due (the event loop polls far more
-        // often than completions mature).
-        if self.event_mins().completion.is_none_or(|m| m > now) {
-            return Ok(());
-        }
-        let mut drained = false;
-        for lane in &mut self.lanes {
-            if lane.completion_min.is_some_and(|m| m <= now) {
-                lane.completions.retain(|c| {
-                    if c.at <= now {
-                        out.push(*c);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                lane.completion_min = lane.completions.iter().map(|c| c.at).min();
-                drained = true;
+        while let Some(due) = self.completions.peek_mut() {
+            if due.0.at > now {
+                break;
             }
-        }
-        self.mins.set(None);
-        if drained {
-            // Index-ordered merge across lanes: the global (at, id)
-            // order is independent of which lane drained first.
-            out.sort_unstable_by_key(|c| (c.at, c.id));
+            out.push(PeekMut::pop(due).0);
         }
         Ok(())
     }
 
-    /// Completes every bank operation due by `now` and re-dispatches.
+    /// Completes every bank operation due by `now` in global
+    /// `(busy_until, bank)` order, re-dispatching each bank after its
+    /// operation and handing its committed writes to the chaos harness
+    /// in between.
     ///
     /// Bank lanes are mutually independent — every RNG draw is keyed by
-    /// `(line, epoch)`, every accumulator is lane-local — so due lanes
-    /// can be processed in any order and produce bit-identical state;
-    /// this walks them in bank order. With a chaos scenario installed,
-    /// processing falls back to the legacy global `(completion time,
-    /// bank)` order so the scenario's shared victim-selection draws stay
-    /// well-defined.
+    /// `(line, epoch)`, every accumulator is lane-local — so the order
+    /// is unobservable to a run without a chaos plan; with one, it fixes
+    /// the draw order of the scenario's shared victim selection.
     fn process_until(&mut self, now: Cycle) {
         // Cached fast path: no bank operation due (every submit and
         // every event-loop poll lands here first).
-        if self.event_mins().op.is_none_or(|m| m > now) {
+        if self.earliest_op().is_none_or(|m| m > now) {
             return;
         }
-        self.mins.set(None);
+        self.op_min.set(None);
         self.anomaly_scan = true;
-        if self.chaos.is_some() {
-            self.process_until_chaos(now);
-        } else {
-            for i in 0..self.lanes.len() {
-                if self.lanes[i].bank.op.is_some() && self.lanes[i].bank.busy_until <= now {
-                    self.with_lane(i, |lane| lane.process_lane_until(now));
-                }
-            }
-        }
-    }
-
-    /// Serial chaos-mode processing in global `(busy_until, bank)`
-    /// order, polling the fault plan after every committed write.
-    fn process_until_chaos(&mut self, now: Cycle) {
         loop {
             let mut best: Option<(Cycle, usize)> = None;
             for (i, l) in self.lanes.iter().enumerate() {
@@ -2065,8 +1945,7 @@ impl MemoryController {
     }
 
     /// Hands a lane's freshly committed write addresses to the chaos
-    /// harness, polling the fault plan once per commit (the legacy
-    /// per-write granularity).
+    /// harness, polling the fault plan once per commit.
     fn drain_commits(&mut self, bank: usize, at: Cycle) {
         if self.lanes[bank].recent_commits.is_empty() {
             return;

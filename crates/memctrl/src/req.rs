@@ -24,6 +24,14 @@ impl AccessKind {
     pub fn is_write(&self) -> bool {
         matches!(self, AccessKind::Write(_))
     }
+
+    /// The data a write carries; `None` for reads.
+    pub(crate) fn write_data(self) -> Option<LineBuf> {
+        match self {
+            AccessKind::Write(data) => Some(data),
+            AccessKind::Read => None,
+        }
+    }
 }
 
 /// One request from the system to the memory controller.

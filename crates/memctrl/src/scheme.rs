@@ -3,6 +3,9 @@
 //! One [`CtrlScheme`] value captures which of the paper's mechanisms are
 //! active. The named constructors correspond to the compared schemes of
 //! §5.3; the general struct supports every ablation in between.
+//!
+//! DIN word-line encoding is not a switch: every scheme of the paper
+//! keeps it (§2.3), so the controller always encodes with it.
 
 use sdpcm_wd::scaling::ArraySpacing;
 
@@ -27,9 +30,6 @@ pub struct CtrlScheme {
     /// reads, then resume — the non-destructive alternative to
     /// cancellation from the same proposal [Qureshi et al., HPCA'10].
     pub write_pausing: bool,
-    /// Encode lines with DIN against word-line disturbance (both the DIN
-    /// baseline and SD-PCM use it).
-    pub din_wordline: bool,
     /// Post-write read of the written line to catch residual word-line
     /// errors (the DIN "check and rewrite" step).
     pub own_line_verify: bool,
@@ -55,7 +55,6 @@ impl CtrlScheme {
             preread: false,
             write_cancellation: false,
             write_pausing: false,
-            din_wordline: true,
             own_line_verify: true,
             start_gap_psi: None,
             ecp_write_inline: false,
@@ -72,7 +71,6 @@ impl CtrlScheme {
             preread: false,
             write_cancellation: false,
             write_pausing: false,
-            din_wordline: true,
             own_line_verify: true,
             start_gap_psi: None,
             ecp_write_inline: false,
@@ -137,7 +135,6 @@ impl CtrlScheme {
             preread: false,
             write_cancellation: false,
             write_pausing: false,
-            din_wordline: true,
             own_line_verify: false,
             start_gap_psi: None,
             ecp_write_inline: false,
@@ -172,7 +169,6 @@ mod tests {
         let s = CtrlScheme::din();
         assert!(!s.vnc);
         assert_eq!(s.spacing, ArraySpacing::din_enhanced());
-        assert!(s.din_wordline);
     }
 
     #[test]

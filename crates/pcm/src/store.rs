@@ -9,8 +9,10 @@
 //!
 //! The store exposes *device-level* primitives — raw reads, applying a
 //! differential-write mask, crystallizing a disturbed cell, planting hard
-//! errors — and keeps wear accounting. Orchestration (when to verify,
-//! what to correct) lives in the memory-controller crate.
+//! errors — on per-bank [`StoreLane`] views, and keeps wear accounting.
+//! [`DeviceStore`] itself only answers whole-DIMM read-only questions
+//! (architectural reads, stuck-cell counts, digests). Orchestration (when
+//! to verify, what to correct) lives in the memory-controller crate.
 
 use sdpcm_engine::hash::FxHashMap;
 use sdpcm_engine::prof::{self, Site};
@@ -68,8 +70,9 @@ pub enum InitContent {
 /// let addr = LineAddr { bank: BankId(0), row: RowId(3), slot: 0 };
 /// let mut data = LineBuf::zeroed();
 /// data.set_bit(42, true);
-/// let diff = DiffMask::between(&dev.raw_line(addr), &data);
-/// dev.apply_write(addr, &diff, WriteClass::Normal);
+/// let mut lane = dev.lane_mut(addr.bank.0);
+/// let diff = DiffMask::between(&lane.raw_line(addr), &data);
+/// lane.apply_write(addr, &diff, WriteClass::Normal);
 /// assert_eq!(dev.read_line(addr), data);
 /// ```
 #[derive(Debug)]
@@ -89,6 +92,27 @@ pub struct DeviceStore {
 struct BankStore {
     lines: FxHashMap<(u32, u8), LineState>,
     wear: WearMeter,
+}
+
+impl BankStore {
+    fn line(&self, addr: LineAddr) -> Option<&LineState> {
+        self.lines.get(&(addr.row.0, addr.slot))
+    }
+
+    /// See [`DeviceStore::read_line`].
+    fn read_line(&self, init: InitContent, addr: LineAddr) -> LineBuf {
+        let _t = prof::timer(Site::StoreRead);
+        match self.line(addr) {
+            None => initial_line_of(init, addr),
+            Some(l) if l.ecp.entries().is_empty() => l.data,
+            Some(l) => l.ecp.patch(&l.data),
+        }
+    }
+
+    /// See [`DeviceStore::hard_error_count`].
+    fn hard_error_count(&self, addr: LineAddr) -> usize {
+        self.line(addr).map_or(0, |l| l.stuck.len())
+    }
 }
 
 /// Mutable view of one bank of the store.
@@ -176,29 +200,6 @@ impl DeviceStore {
         }
     }
 
-    fn line(&self, addr: LineAddr) -> Option<&LineState> {
-        self.banks[addr.bank.0 as usize]
-            .lines
-            .get(&(addr.row.0, addr.slot))
-    }
-
-    /// Raw array contents of a line — *without* ECP patching. Untouched
-    /// lines read as their initial content.
-    #[must_use]
-    pub fn raw_line(&self, addr: LineAddr) -> LineBuf {
-        let _t = prof::timer(Site::StoreRead);
-        self.line(addr)
-            .map_or_else(|| self.initial_line(addr), |l| l.data)
-    }
-
-    /// Borrowed raw contents of a materialized line. `None` means the
-    /// line is untouched and reads as [`DeviceStore::initial_line`] —
-    /// hot paths use this to skip the 64-byte copy entirely.
-    #[must_use]
-    pub fn raw_line_ref(&self, addr: LineAddr) -> Option<&LineBuf> {
-        self.line(addr).map(|l| &l.data)
-    }
-
     /// Architectural read: raw contents patched by the line's ECP table.
     /// This is what the memory controller returns to the system.
     ///
@@ -208,101 +209,13 @@ impl DeviceStore {
     /// entries exist only on lines that have absorbed errors).
     #[must_use]
     pub fn read_line(&self, addr: LineAddr) -> LineBuf {
-        let _t = prof::timer(Site::StoreRead);
-        match self.line(addr) {
-            None => self.initial_line(addr),
-            Some(l) if l.ecp.entries().is_empty() => l.data,
-            Some(l) => l.ecp.patch(&l.data),
-        }
-    }
-
-    /// Borrowed architectural contents, available when the line is
-    /// materialized and needs no ECP patching (the common case). `None`
-    /// falls back to the owning [`DeviceStore::read_line`].
-    #[must_use]
-    pub fn read_line_ref(&self, addr: LineAddr) -> Option<&LineBuf> {
-        self.line(addr)
-            .filter(|l| l.ecp.entries().is_empty())
-            .map(|l| &l.data)
-    }
-
-    /// Applies a differential-write mask to the array. Stuck cells retain
-    /// their stuck value regardless of the pulse applied. Returns the
-    /// post-write raw contents.
-    ///
-    /// Wear is charged to `class` (normal data write vs correction).
-    pub fn apply_write(&mut self, addr: LineAddr, diff: &DiffMask, class: WriteClass) -> LineBuf {
-        self.lane_mut(addr.bank.0).apply_write(addr, diff, class)
-    }
-
-    /// Crystallizes one cell of a line: the write-disturbance effect
-    /// (an idle amorphous cell partially SETs, reading back as `1`).
-    /// Returns whether the cell actually changed state — stuck cells are
-    /// unaffected, and an already-crystalline cell cannot flip again.
-    pub fn inject_disturb(&mut self, addr: LineAddr, bit: u16) -> bool {
-        self.lane_mut(addr.bank.0).inject_disturb(addr, bit)
-    }
-
-    /// Plants a permanent stuck-at fault and records it in the line's ECP
-    /// table (hard errors have allocation priority). Returns `false` if
-    /// the ECP table could not absorb it (table full of hard errors) — the
-    /// line is then unprotected, as in the paper's end-of-life regime.
-    pub fn plant_hard_error(&mut self, addr: LineAddr, bit: u16, stuck_val: bool) -> bool {
-        self.lane_mut(addr.bank.0)
-            .plant_hard_error(addr, bit, stuck_val)
-    }
-
-    /// Like [`DeviceStore::plant_hard_error`], but with the architectural
-    /// value supplied by the caller — needed when the raw array currently
-    /// holds *known-but-unrecorded* disturbance errors that must not be
-    /// mistaken for data.
-    pub fn plant_hard_error_with_value(
-        &mut self,
-        addr: LineAddr,
-        bit: u16,
-        stuck_val: bool,
-        correct: bool,
-    ) -> bool {
-        self.lane_mut(addr.bank.0)
-            .plant_hard_error_with_value(addr, bit, stuck_val, correct)
-    }
-
-    /// Refreshes the ECP `value` fields of hard-error entries after a
-    /// write so reads patch stuck cells with the newly written data.
-    ///
-    /// `intended` is the data the write was supposed to store.
-    pub fn refresh_hard_values(&mut self, addr: LineAddr, intended: &LineBuf) {
-        self.lane_mut(addr.bank.0)
-            .refresh_hard_values(addr, intended);
-    }
-
-    /// A snapshot of a line's ECP table (empty table for untouched
-    /// lines).
-    #[must_use]
-    pub fn ecp(&self, addr: LineAddr) -> EcpTable {
-        self.line(addr)
-            .map_or_else(|| EcpTable::new(self.ecp_entries), |l| l.ecp.clone())
-    }
-
-    /// Borrowed view of a line's ECP table, `None` for untouched lines
-    /// (whose notional table is empty). Lets hot paths inspect entry
-    /// counts without cloning the table as [`DeviceStore::ecp`] does.
-    #[must_use]
-    pub fn ecp_ref(&self, addr: LineAddr) -> Option<&EcpTable> {
-        self.line(addr).map(|l| &l.ecp)
-    }
-
-    /// Mutable access to a line's ECP table (materializes the line).
-    pub fn ecp_mut(&mut self, addr: LineAddr) -> &mut EcpTable {
-        let init = self.init;
-        let entries = self.ecp_entries;
-        &mut materialize_line(&mut self.banks[addr.bank.0 as usize], init, entries, addr).ecp
+        self.banks[addr.bank.0 as usize].read_line(self.init, addr)
     }
 
     /// Number of stuck cells planted on a line.
     #[must_use]
     pub fn hard_error_count(&self, addr: LineAddr) -> usize {
-        self.line(addr).map_or(0, |l| l.stuck.len())
+        self.banks[addr.bank.0 as usize].hard_error_count(addr)
     }
 
     /// Digest of all materialized device state (raw data, ECP tables,
@@ -359,7 +272,7 @@ impl<'a> StoreLane<'a> {
 
     fn line(&self, addr: LineAddr) -> Option<&LineState> {
         debug_assert_eq!(addr.bank.0, self.bank_id, "address outside lane bank");
-        self.bank.lines.get(&(addr.row.0, addr.slot))
+        self.bank.line(addr)
     }
 
     fn line_mut(&mut self, addr: LineAddr) -> &mut LineState {
@@ -375,7 +288,8 @@ impl<'a> StoreLane<'a> {
         initial_line_of(self.init, addr)
     }
 
-    /// Raw array contents of a line (see [`DeviceStore::raw_line`]).
+    /// Raw array contents of a line — *without* ECP patching. Untouched
+    /// lines read as their initial content.
     #[must_use]
     pub fn raw_line(&self, addr: LineAddr) -> LineBuf {
         let _t = prof::timer(Site::StoreRead);
@@ -383,35 +297,19 @@ impl<'a> StoreLane<'a> {
             .map_or_else(|| self.initial_line(addr), |l| l.data)
     }
 
-    /// Borrowed raw contents of a materialized line (see
-    /// [`DeviceStore::raw_line_ref`]).
-    #[must_use]
-    pub fn raw_line_ref(&self, addr: LineAddr) -> Option<&LineBuf> {
-        self.line(addr).map(|l| &l.data)
-    }
-
     /// Architectural read (see [`DeviceStore::read_line`]).
     #[must_use]
     pub fn read_line(&self, addr: LineAddr) -> LineBuf {
-        let _t = prof::timer(Site::StoreRead);
-        match self.line(addr) {
-            None => self.initial_line(addr),
-            Some(l) if l.ecp.entries().is_empty() => l.data,
-            Some(l) => l.ecp.patch(&l.data),
-        }
+        debug_assert_eq!(addr.bank.0, self.bank_id, "address outside lane bank");
+        self.bank.read_line(self.init, addr)
     }
 
-    /// Borrowed architectural contents when no ECP patching is needed
-    /// (see [`DeviceStore::read_line_ref`]).
-    #[must_use]
-    pub fn read_line_ref(&self, addr: LineAddr) -> Option<&LineBuf> {
-        self.line(addr)
-            .filter(|l| l.ecp.entries().is_empty())
-            .map(|l| &l.data)
-    }
-
-    /// Applies a differential write (see [`DeviceStore::apply_write`]).
-    /// Wear is charged to this lane's bank meter.
+    /// Applies a differential-write mask to the array. Stuck cells retain
+    /// their stuck value regardless of the pulse applied. Returns the
+    /// post-write raw contents.
+    ///
+    /// Wear is charged to `class` (normal data write vs correction) on
+    /// this lane's bank meter.
     pub fn apply_write(&mut self, addr: LineAddr, diff: &DiffMask, class: WriteClass) -> LineBuf {
         let _t = prof::timer(Site::StoreWrite);
         let line = self.line_mut(addr);
@@ -426,7 +324,10 @@ impl<'a> StoreLane<'a> {
         after
     }
 
-    /// Crystallizes one cell (see [`DeviceStore::inject_disturb`]).
+    /// Crystallizes one cell of a line: the write-disturbance effect
+    /// (an idle amorphous cell partially SETs, reading back as `1`).
+    /// Returns whether the cell actually changed state — stuck cells are
+    /// unaffected, and an already-crystalline cell cannot flip again.
     pub fn inject_disturb(&mut self, addr: LineAddr, bit: u16) -> bool {
         let line = self.line_mut(addr);
         if line.stuck.iter().any(|&(b, _)| b == bit) {
@@ -439,7 +340,10 @@ impl<'a> StoreLane<'a> {
         true
     }
 
-    /// Plants a stuck-at fault (see [`DeviceStore::plant_hard_error`]).
+    /// Plants a permanent stuck-at fault and records it in the line's ECP
+    /// table (hard errors have allocation priority). Returns `false` if
+    /// the ECP table could not absorb it (table full of hard errors) — the
+    /// line is then unprotected, as in the paper's end-of-life regime.
     pub fn plant_hard_error(&mut self, addr: LineAddr, bit: u16, stuck_val: bool) -> bool {
         let correct = {
             let line = self.line_mut(addr);
@@ -448,8 +352,10 @@ impl<'a> StoreLane<'a> {
         self.plant_hard_error_with_value(addr, bit, stuck_val, correct)
     }
 
-    /// Plants a stuck-at fault with a caller-supplied architectural value
-    /// (see [`DeviceStore::plant_hard_error_with_value`]).
+    /// Like [`StoreLane::plant_hard_error`], but with the architectural
+    /// value supplied by the caller — needed when the raw array currently
+    /// holds *known-but-unrecorded* disturbance errors that must not be
+    /// mistaken for data.
     pub fn plant_hard_error_with_value(
         &mut self,
         addr: LineAddr,
@@ -465,8 +371,10 @@ impl<'a> StoreLane<'a> {
         line.ecp.try_record(bit, correct, EcpKind::Hard)
     }
 
-    /// Refreshes hard-error ECP values after a write (see
-    /// [`DeviceStore::refresh_hard_values`]).
+    /// Refreshes the ECP `value` fields of hard-error entries after a
+    /// write so reads patch stuck cells with the newly written data.
+    ///
+    /// `intended` is the data the write was supposed to store.
     pub fn refresh_hard_values(&mut self, addr: LineAddr, intended: &LineBuf) {
         let line = self.line_mut(addr);
         let stuck = line.stuck.clone();
@@ -476,8 +384,8 @@ impl<'a> StoreLane<'a> {
         }
     }
 
-    /// Borrowed view of a line's ECP table (see
-    /// [`DeviceStore::ecp_ref`]).
+    /// Borrowed view of a line's ECP table, `None` for untouched lines
+    /// (whose notional table is empty).
     #[must_use]
     pub fn ecp_ref(&self, addr: LineAddr) -> Option<&EcpTable> {
         self.line(addr).map(|l| &l.ecp)
@@ -491,7 +399,8 @@ impl<'a> StoreLane<'a> {
     /// Number of stuck cells planted on a line.
     #[must_use]
     pub fn hard_error_count(&self, addr: LineAddr) -> usize {
-        self.line(addr).map_or(0, |l| l.stuck.len())
+        debug_assert_eq!(addr.bank.0, self.bank_id, "address outside lane bank");
+        self.bank.hard_error_count(addr)
     }
 
     /// Charges one ECP-chip record write to this bank's wear meter.
@@ -560,6 +469,13 @@ mod tests {
         DeviceStore::new(MemGeometry::small(64), 6)
     }
 
+    /// Differentially writes `data` to `a` through its bank's lane.
+    fn write(dev: &mut DeviceStore, a: LineAddr, data: &LineBuf) {
+        let mut lane = dev.lane_mut(a.bank.0);
+        let diff = DiffMask::between(&lane.raw_line(a), data);
+        lane.apply_write(a, &diff, WriteClass::Normal);
+    }
+
     #[test]
     fn untouched_lines_read_zero() {
         let dev = store();
@@ -574,9 +490,9 @@ mod tests {
         let mut data = LineBuf::zeroed();
         data.set_bit(0, true);
         data.set_bit(511, true);
-        let diff = DiffMask::between(&dev.raw_line(a), &data);
-        dev.apply_write(a, &diff, WriteClass::Normal);
+        write(&mut dev, a, &data);
         assert_eq!(dev.read_line(a), data);
+        assert_eq!(dev.lane_mut(1).read_line(a), data);
         assert_eq!(dev.materialized_lines(), 1);
     }
 
@@ -584,9 +500,11 @@ mod tests {
     fn reads_do_not_materialize() {
         let mut dev = store();
         let _ = dev.read_line(addr(0, 1, 2));
-        let _ = dev.raw_line(addr(0, 1, 3));
+        let lane = dev.lane_mut(0);
+        let _ = lane.read_line(addr(0, 1, 2));
+        let _ = lane.raw_line(addr(0, 1, 3));
         assert_eq!(dev.materialized_lines(), 0);
-        dev.inject_disturb(addr(0, 1, 2), 5);
+        dev.lane_mut(0).inject_disturb(addr(0, 1, 2), 5);
         assert_eq!(dev.materialized_lines(), 1);
     }
 
@@ -594,8 +512,9 @@ mod tests {
     fn disturb_flips_idle_zero_to_one() {
         let mut dev = store();
         let a = addr(0, 0, 0);
-        dev.inject_disturb(a, 7);
-        assert!(dev.raw_line(a).bit(7));
+        let mut lane = dev.lane_mut(0);
+        lane.inject_disturb(a, 7);
+        assert!(lane.raw_line(a).bit(7));
         // Not patched: no ECP entry recorded yet, so the read sees it too.
         assert!(dev.read_line(a).bit(7));
     }
@@ -604,9 +523,10 @@ mod tests {
     fn ecp_patch_hides_disturbance() {
         let mut dev = store();
         let a = addr(0, 0, 0);
-        dev.inject_disturb(a, 7);
-        dev.ecp_mut(a).try_record(7, false, EcpKind::Disturb);
-        assert!(dev.raw_line(a).bit(7), "raw cell stays disturbed");
+        let mut lane = dev.lane_mut(0);
+        lane.inject_disturb(a, 7);
+        lane.ecp_mut(a).try_record(7, false, EcpKind::Disturb);
+        assert!(lane.raw_line(a).bit(7), "raw cell stays disturbed");
         assert!(!dev.read_line(a).bit(7), "architectural read is patched");
     }
 
@@ -614,19 +534,20 @@ mod tests {
     fn stuck_cell_ignores_writes_and_disturbs() {
         let mut dev = store();
         let a = addr(2, 4, 6);
-        assert!(dev.plant_hard_error(a, 100, false));
+        let mut lane = dev.lane_mut(2);
+        assert!(lane.plant_hard_error(a, 100, false));
         // Try to SET the stuck cell.
         let mut data = LineBuf::zeroed();
         data.set_bit(100, true);
-        let diff = DiffMask::between(&dev.raw_line(a), &data);
-        dev.apply_write(a, &diff, WriteClass::Normal);
-        assert!(!dev.raw_line(a).bit(100), "stuck at 0");
+        let diff = DiffMask::between(&lane.raw_line(a), &data);
+        lane.apply_write(a, &diff, WriteClass::Normal);
+        assert!(!lane.raw_line(a).bit(100), "stuck at 0");
         // But ECP patches the read once refreshed with the intended data.
-        dev.refresh_hard_values(a, &data);
-        assert!(dev.read_line(a).bit(100));
+        lane.refresh_hard_values(a, &data);
+        assert!(lane.read_line(a).bit(100));
         // Disturbance cannot flip it either.
-        dev.inject_disturb(a, 100);
-        assert!(!dev.raw_line(a).bit(100));
+        lane.inject_disturb(a, 100);
+        assert!(!lane.raw_line(a).bit(100));
     }
 
     #[test]
@@ -637,9 +558,9 @@ mod tests {
         for b in 0..10 {
             data.set_bit(b, true);
         }
-        let diff = DiffMask::between(&dev.raw_line(a), &data);
-        dev.apply_write(a, &diff, WriteClass::Normal);
-        dev.apply_write(a, &DiffMask::reset_only(&[0, 1]), WriteClass::Correction);
+        write(&mut dev, a, &data);
+        dev.lane_mut(0)
+            .apply_write(a, &DiffMask::reset_only(&[0, 1]), WriteClass::Correction);
         assert_eq!(dev.wear().data_bits_normal(), 10);
         assert_eq!(dev.wear().data_bits_correction(), 2);
     }
@@ -650,16 +571,14 @@ mod tests {
             let mut dev = store();
             let mut data = LineBuf::zeroed();
             data.set_bit(9, true);
-            let a = addr(1, 2, 3);
-            let diff = DiffMask::between(&dev.raw_line(a), &data);
-            dev.apply_write(a, &diff, WriteClass::Normal);
-            dev.plant_hard_error(addr(0, 0, 0), 17, true);
+            write(&mut dev, addr(1, 2, 3), &data);
+            dev.lane_mut(0).plant_hard_error(addr(0, 0, 0), 17, true);
             dev
         };
         let mut dev = build();
         assert_eq!(dev.content_digest(), build().content_digest());
         let before = dev.content_digest();
-        dev.inject_disturb(addr(1, 2, 3), 200);
+        dev.lane_mut(1).inject_disturb(addr(1, 2, 3), 200);
         assert_ne!(dev.content_digest(), before, "digest sees new state");
     }
 
@@ -667,20 +586,24 @@ mod tests {
     fn hard_error_count_tracks_plants() {
         let mut dev = store();
         let a = addr(3, 3, 3);
-        dev.plant_hard_error(a, 1, true);
-        dev.plant_hard_error(a, 2, false);
-        dev.plant_hard_error(a, 2, false); // duplicate ignored
+        let mut lane = dev.lane_mut(3);
+        lane.plant_hard_error(a, 1, true);
+        lane.plant_hard_error(a, 2, false);
+        lane.plant_hard_error(a, 2, false); // duplicate ignored
+        assert_eq!(lane.hard_error_count(a), 2);
+        assert_eq!(lane.ecp_ref(a).map(EcpTable::hard_count), Some(2));
         assert_eq!(dev.hard_error_count(a), 2);
-        assert_eq!(dev.ecp(a).hard_count(), 2);
     }
 
     #[test]
     fn pseudorandom_init_is_deterministic_and_consistent() {
-        let dev = DeviceStore::with_init(MemGeometry::small(64), 6, InitContent::Pseudorandom(7));
+        let mut dev =
+            DeviceStore::with_init(MemGeometry::small(64), 6, InitContent::Pseudorandom(7));
         let a = addr(1, 2, 3);
         let first = dev.read_line(a);
         assert_eq!(dev.read_line(a), first);
-        assert_eq!(dev.raw_line(a), first);
+        assert_eq!(dev.initial_line(a), first);
+        assert_eq!(dev.lane_mut(1).raw_line(a), first);
         assert_ne!(first, LineBuf::zeroed());
         // Different addresses get different content.
         assert_ne!(dev.read_line(addr(1, 2, 4)), first);
@@ -695,9 +618,10 @@ mod tests {
             DeviceStore::with_init(MemGeometry::small(64), 6, InitContent::Pseudorandom(7));
         let a = addr(0, 1, 1);
         let target = LineBuf::zeroed();
-        let diff = DiffMask::between(&dev.raw_line(a), &target);
+        let mut lane = dev.lane_mut(0);
+        let diff = DiffMask::between(&lane.raw_line(a), &target);
         assert!(diff.reset_count() > 100, "random content has many ones");
-        dev.apply_write(a, &diff, WriteClass::Normal);
+        lane.apply_write(a, &diff, WriteClass::Normal);
         assert_eq!(dev.read_line(a), target);
     }
 
@@ -708,8 +632,7 @@ mod tests {
         let b = addr(1, 5, 1);
         let mut data = LineBuf::zeroed();
         data.set_bit(3, true);
-        let diff = DiffMask::between(&dev.raw_line(a), &data);
-        dev.apply_write(a, &diff, WriteClass::Normal);
+        write(&mut dev, a, &data);
         assert_eq!(dev.read_line(b), LineBuf::zeroed());
         assert_eq!(dev.materialized_lines(), 1);
     }

@@ -217,3 +217,57 @@ fn system_level_fault_plan_is_deterministic() {
         "storm + 1-entry ECP must exhaust at system level"
     );
 }
+
+/// Installing a fault plan must not change the run it never fires in.
+/// The plan below triggers at write 2^40, far past any quick-test run,
+/// so the planned and plan-free runs must end with identical statistics
+/// and device contents for every scheme — including the write
+/// cancellation, write pausing and Start-Gap paths the figure set skips.
+#[test]
+fn idle_fault_plan_leaves_every_scheme_bit_identical() {
+    let mut schemes = Scheme::figure11_set();
+    for (name, ctrl) in [
+        ("LazyC+WC", Scheme::lazyc().ctrl.with_write_cancellation()),
+        ("LazyC+WP", Scheme::lazyc().ctrl.with_write_pausing()),
+        ("DIN+StartGap", Scheme::din().ctrl.with_start_gap(8)),
+    ] {
+        schemes.push(Scheme {
+            name: name.to_owned(),
+            ctrl,
+            ..Scheme::lazyc()
+        });
+    }
+    let params = ExperimentParams::quick_test();
+    let mut reached = [0u64; 3];
+    for scheme in &schemes {
+        let run = |plan: Option<FaultPlan>| {
+            let mut sim = SystemSim::build(scheme, BenchKind::Mcf, &params)
+                .expect("quick-test params are valid");
+            if let Some(plan) = plan {
+                sim.install_fault_plan(plan).expect("plan is valid");
+            }
+            let stats = sim.run().expect("run completes");
+            (stats, sim.controller().store().content_digest())
+        };
+        let (plain, plain_digest) = run(None);
+        let (planned, planned_digest) = run(Some(FaultPlan::new().storm(1 << 40, 1.5, 10)));
+        assert_eq!(
+            format!("{plain:?}"),
+            format!("{planned:?}"),
+            "{}: RunStats diverged",
+            scheme.name
+        );
+        assert_eq!(
+            plain_digest, planned_digest,
+            "{}: device contents diverged",
+            scheme.name
+        );
+        reached[0] += plain.ctrl.write_cancellations.get();
+        reached[1] += plain.ctrl.write_pauses.get();
+        reached[2] += plain.ctrl.gap_moves.get();
+    }
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "cancellations, pauses and gap moves must all occur: {reached:?}"
+    );
+}
