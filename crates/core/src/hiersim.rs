@@ -15,23 +15,31 @@
 //! XOR a per-core toggle mask (the store path is presence/dirtiness
 //! only, per `sdpcm-cachesim`).
 //!
+//! Dirty write-backs are posted without asking
+//! [`MemoryController::can_accept_write`], so a bank's write queue can
+//! exceed its cap (the post-cache front end stalls the core instead). In
+//! the pinned golden configuration (`quick_test`, mcf, cap 32) a queue
+//! peaks at 37 entries under baseline VnC and 34 under LazyC+PreRead,
+//! with 49 and 19 over-cap postings. Adding the back-pressure moves the
+//! hierarchy goldens, so it waits for a deliberate migration.
+//!
 //! Every core simulates its cache stack inline, driven by its own
 //! address stream and RNG; `tests/content_golden.rs` pins the resulting
-//! device state.
+//! device state. The OS mapping, the controller and the event loop are
+//! the back end shared with `SystemSim` (`backend.rs`); this module
+//! holds only the cores.
 
 use sdpcm_cachesim::cache::AccessKind as CacheAccess;
 use sdpcm_cachesim::hierarchy::CoreCaches;
-use sdpcm_engine::hash::FxHashMap;
-use sdpcm_engine::prof::{self, Site};
+use sdpcm_engine::prof::Site;
 use sdpcm_engine::{Cycle, SimRng};
-use sdpcm_memctrl::{Access, AccessKind, Completion, MemoryController, ReqId};
-use sdpcm_osalloc::{NmAllocator, PageTable};
-use sdpcm_pcm::geometry::{LineAddr, PageId};
+use sdpcm_memctrl::MemoryController;
 use sdpcm_trace::addr::{AddressStream, LINES_PER_PAGE};
 use sdpcm_trace::{BenchKind, ToggleMask, Workload};
 
+use crate::backend::{Backend, Cores, Target};
 use crate::config::{ExperimentParams, Scheme};
-use crate::error::{MapError, SdpcmError, SimError};
+use crate::error::{MapError, SdpcmError};
 use crate::metrics::RunStats;
 
 /// Knobs specific to hierarchy mode.
@@ -75,7 +83,7 @@ impl HierarchyParams {
 /// An access whose cache outcome is known but whose controller
 /// interactions (write-backs, fill) must wait until the event loop
 /// reaches the access's start time. Produced when
-/// [`HierarchySim::step_core_live`] batches cache-resident accesses past
+/// [`CacheCores::step`] batches cache-resident accesses past
 /// `now` and then hits one that touches PCM: the payload synthesis reads
 /// controller state, so it may only run once the controller has been
 /// advanced to the access time.
@@ -92,10 +100,17 @@ struct HCore {
     ready_at: Cycle,
     accesses_done: u64,
     instructions: u64,
-    blocked_on: Option<ReqId>,
+    /// Waiting for an L3-miss fill.
+    blocked: bool,
     finish: Option<Cycle>,
     /// Deferred non-absorbed access from a batch (see [`PendingAccess`]).
     pending: Option<PendingAccess>,
+}
+
+/// The cache-driven cores and the knobs they run under.
+struct CacheCores {
+    cores: Vec<HCore>,
+    hparams: HierarchyParams,
 }
 
 /// The hierarchy-mode simulator.
@@ -120,15 +135,8 @@ struct HCore {
 pub struct HierarchySim {
     scheme: Scheme,
     workload_name: String,
-    hparams: HierarchyParams,
-    ctrl: MemoryController,
-    cores: Vec<HCore>,
-    tables: Vec<PageTable>,
-    inflight: FxHashMap<ReqId, usize>,
-    done_scratch: Vec<Completion>,
-    next_id: u64,
-    pcm_fills: u64,
-    pcm_writebacks: u64,
+    be: Backend,
+    cores: CacheCores,
 }
 
 impl std::fmt::Debug for HierarchySim {
@@ -150,29 +158,8 @@ impl HierarchySim {
         params: &ExperimentParams,
         hparams: &HierarchyParams,
     ) -> Result<HierarchySim, SdpcmError> {
-        params.validate()?;
         let workload = Workload::homogeneous(bench);
-        let mut rng = SimRng::from_seed_label(params.seed, "hier-system");
-        let geometry = params.geometry_for(&workload, scheme.ratio)?;
-        let ctrl = params.controller(scheme.ctrl, geometry, rng.derive("ctrl"))?;
-
-        let mut os = NmAllocator::new(geometry.total_pages());
-        let mut tables = Vec::new();
-        for (core, pages) in workload.pages_per_core().into_iter().enumerate() {
-            let frames = os
-                .alloc_pages(scheme.ratio, pages)
-                .ok_or(MapError::DeviceFull { core, pages })?;
-            let mut table = PageTable::new();
-            for (vpage, frame) in frames.into_iter().enumerate() {
-                table.map(vpage as u64, frame, scheme.ratio);
-            }
-            tables.push(table);
-        }
-        // Free the OS allocator's buddy lists before the cache stacks are
-        // allocated, so they reuse that memory instead of growing the heap
-        // (the difference doubles build time on Table 2 caches).
-        drop(os);
-
+        let (be, mut rng) = Backend::build(&scheme, &workload, params, "hier-system")?;
         let cores = workload
             .profiles()
             .iter()
@@ -188,7 +175,7 @@ impl HierarchySim {
                 ready_at: Cycle::ZERO,
                 accesses_done: 0,
                 instructions: 0,
-                blocked_on: None,
+                blocked: false,
                 finish: None,
                 pending: None,
             })
@@ -196,159 +183,63 @@ impl HierarchySim {
         Ok(HierarchySim {
             scheme,
             workload_name: workload.name().to_owned(),
-            hparams: *hparams,
-            ctrl,
-            cores,
-            tables,
-            inflight: FxHashMap::default(),
-            done_scratch: Vec::new(),
-            next_id: 0,
-            pcm_fills: 0,
-            pcm_writebacks: 0,
+            be,
+            cores: CacheCores {
+                cores,
+                hparams: *hparams,
+            },
         })
     }
 
     /// The controller (diagnostics).
     #[must_use]
     pub fn controller(&self) -> &MemoryController {
-        &self.ctrl
+        self.be.controller()
     }
 
     /// `(L3-miss fills, dirty write-backs)` the hierarchy produced.
     #[must_use]
     pub fn pcm_traffic(&self) -> (u64, u64) {
-        (self.pcm_fills, self.pcm_writebacks)
-    }
-
-    fn translate(&self, core: usize, vline: u64) -> Result<LineAddr, MapError> {
-        let vpage = vline / LINES_PER_PAGE;
-        let slot = (vline % LINES_PER_PAGE) as u8;
-        let pte = self.tables[core]
-            .translate(vpage)
-            .ok_or(MapError::WorkingSetUnmapped { core, vpage })?;
-        let (bank, row) = self
-            .ctrl
-            .store()
-            .geometry()
-            .page_to_bank_row(PageId(pte.frame));
-        Ok(LineAddr { bank, row, slot })
-    }
-
-    /// Posts a dirty write-back whose payload is the line's newest
-    /// architectural value with `mask` applied.
-    fn submit_writeback_mask(
-        &mut self,
-        core: usize,
-        vline: u64,
-        mask: &ToggleMask,
-        now: Cycle,
-    ) -> Result<(), SdpcmError> {
-        let addr = self.translate(core, vline)?;
-        let mut words = *self.ctrl.latest_architectural(addr).words();
-        for (w, m) in words.iter_mut().zip(mask) {
-            *w ^= m;
-        }
-        let id = ReqId(self.next_id);
-        self.next_id += 1;
-        self.pcm_writebacks += 1;
-        self.ctrl.submit(
-            Access {
-                id,
-                addr,
-                kind: AccessKind::Write(sdpcm_pcm::line::LineBuf::from_words(words)),
-                ratio: self.scheme.ratio,
-                core: core as u8,
-                arrive: now,
-            },
-            now,
-        )?;
-        Ok(())
+        self.be.traffic()
     }
 
     /// Runs to completion.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Livelock`] when the event loop stops making
-    /// progress, and propagates controller and translation errors.
+    /// Returns [`SimError::Livelock`](crate::SimError::Livelock) when the
+    /// event loop stops making progress, and propagates controller and
+    /// translation errors.
     pub fn run(&mut self) -> Result<RunStats, SdpcmError> {
-        let quota = self.hparams.accesses_per_core;
-        let mut guard = 0u64;
-        loop {
-            if self.cores.iter().all(|c| c.finish.is_some()) {
-                break;
-            }
-            let core_t = self
-                .cores
-                .iter()
-                .filter(|c| c.blocked_on.is_none() && c.finish.is_none())
-                .map(|c| c.ready_at)
-                .min();
-            let ctrl_t = self.ctrl.next_event();
-            let now = match (core_t, ctrl_t) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => return Err(self.livelock(Cycle::MAX)),
-            };
-            guard += 1;
-            if guard >= 500_000_000 {
-                return Err(self.livelock(now));
-            }
-            let _t = prof::timer(Site::HierStep);
-
-            let mut done_buf = std::mem::take(&mut self.done_scratch);
-            self.ctrl.advance_into(now, &mut done_buf)?;
-            for done in &done_buf {
-                if let Some(core) = self.inflight.remove(&done.id) {
-                    self.cores[core].blocked_on = None;
-                    self.cores[core].ready_at = done.at;
-                }
-            }
-            self.done_scratch = done_buf;
-
-            for core in 0..self.cores.len() {
-                let c = &self.cores[core];
-                if c.finish.is_some() || c.blocked_on.is_some() || c.ready_at > now {
-                    continue;
-                }
-                self.step_core_live(core, now, quota)?;
-            }
-        }
-
-        // Final flush so per-write statistics cover everything.
-        let end = Cycle(self.total_cycles());
-        self.ctrl.drain_all(end);
-        while let Some(t) = self.ctrl.next_event() {
-            let mut done_buf = std::mem::take(&mut self.done_scratch);
-            self.ctrl.advance_into(t, &mut done_buf)?;
-            self.done_scratch = done_buf;
-            self.ctrl.drain_all(t);
-        }
-
-        Ok(RunStats {
-            scheme: self.scheme.name.clone(),
-            workload: format!("{}(hier)", self.workload_name),
-            total_cycles: self.total_cycles(),
-            instructions: self.cores.iter().map(|c| c.instructions).sum(),
-            reads: self.pcm_fills,
-            writes: self.pcm_writebacks,
-            ctrl: self.ctrl.stats(),
-            wear: self.ctrl.store().wear(),
-            energy: self.ctrl.energy(),
-        })
+        self.be.run(&mut self.cores)?;
+        // The flush starts at the last finish, where `SystemSim` starts at
+        // the next controller event; unifying the two would move these
+        // results.
+        let total_cycles = self
+            .cores
+            .cores
+            .iter()
+            .filter_map(|c| c.finish)
+            .map(|c| c.0)
+            .max()
+            .unwrap_or(0);
+        self.be.flush(Cycle(total_cycles))?;
+        let instructions = self.cores.cores.iter().map(|c| c.instructions).sum();
+        Ok(self.be.stats(
+            &self.scheme.name,
+            format!("{}(hier)", self.workload_name),
+            total_cycles,
+            instructions,
+        ))
     }
+}
 
-    /// Builds the livelock report with the controller's queue snapshot.
-    fn livelock(&self, now: Cycle) -> SdpcmError {
-        SimError::Livelock {
-            cycle: now.0,
-            refs_done: self.cores.iter().map(|c| c.accesses_done).sum(),
-            snapshot: self.ctrl.snapshot(now),
-        }
-        .into()
-    }
+/// Translates a core's virtual cache line.
+fn translate(be: &Backend, core: usize, vline: u64) -> Result<Target, MapError> {
+    be.translate(core, vline / LINES_PER_PAGE, (vline % LINES_PER_PAGE) as u8)
+}
 
+impl CacheCores {
     /// One core turn. Cache-resident (absorbed) accesses are purely
     /// core-local — stream, RNG, and cache state are private, and they
     /// never touch the controller — so consecutive ones are retired in a
@@ -360,19 +251,20 @@ impl HierarchySim {
     /// the controller to the access's start time — payload synthesis
     /// reads controller state, and submitting early would reorder it
     /// against other cores' intervening traffic.
-    fn step_core_live(&mut self, core: usize, now: Cycle, quota: u64) -> Result<(), SdpcmError> {
+    fn step(&mut self, be: &mut Backend, core: usize, now: Cycle) -> Result<(), SdpcmError> {
+        let insts = self.hparams.insts_per_access;
         if let Some(p) = self.cores[core].pending.take() {
             for (vline, mask) in &p.writebacks {
-                self.submit_writeback_mask(core, *vline, mask, now)?;
+                be.write(core, translate(be, core, *vline)?, mask, now)?;
             }
             let c = &mut self.cores[core];
             c.accesses_done += 1;
-            c.instructions += self.hparams.insts_per_access;
-            let after = now + p.latency + Cycle(self.hparams.insts_per_access);
-            return self.finish_access(core, p.fill, after, quota);
+            c.instructions += insts;
+            let after = now + p.latency + Cycle(insts);
+            return self.finish_access(be, core, p.fill, after);
         }
         let store_fraction = self.hparams.store_fraction;
-        let insts = self.hparams.insts_per_access;
+        let quota = self.hparams.accesses_per_core;
         let mut t = now;
         loop {
             let HCore {
@@ -398,8 +290,6 @@ impl HierarchySim {
                 t = t + latency + Cycle(insts);
                 if c.accesses_done >= quota {
                     c.finish = Some(t);
-                    c.blocked_on = None;
-                    self.inflight.retain(|_, &mut owner| owner != core);
                     return Ok(());
                 }
                 continue;
@@ -417,13 +307,13 @@ impl HierarchySim {
             }
             if t == now {
                 for (vline, mask) in &writebacks {
-                    self.submit_writeback_mask(core, *vline, mask, now)?;
+                    be.write(core, translate(be, core, *vline)?, mask, now)?;
                 }
                 let c = &mut self.cores[core];
                 c.accesses_done += 1;
                 c.instructions += insts;
                 let after = now + out.latency + Cycle(insts);
-                return self.finish_access(core, out.pcm_fill, after, quota);
+                return self.finish_access(be, core, out.pcm_fill, after);
             }
             let c = &mut self.cores[core];
             c.pending = Some(PendingAccess {
@@ -441,48 +331,60 @@ impl HierarchySim {
     /// quota (a final fill is still submitted but no longer awaited).
     fn finish_access(
         &mut self,
+        be: &mut Backend,
         core: usize,
         fill: Option<u64>,
         after: Cycle,
-        quota: u64,
     ) -> Result<(), SdpcmError> {
         if let Some(fill_line) = fill {
-            // L3 miss: the core blocks on the PCM read.
-            let addr = self.translate(core, fill_line)?;
-            let id = ReqId(self.next_id);
-            self.next_id += 1;
-            self.pcm_fills += 1;
-            self.inflight.insert(id, core);
-            self.cores[core].blocked_on = Some(id);
-            self.ctrl.submit(
-                Access {
-                    id,
-                    addr,
-                    kind: AccessKind::Read,
-                    ratio: self.scheme.ratio,
-                    core: core as u8,
-                    arrive: after,
-                },
-                after,
-            )?;
-        } else {
-            self.cores[core].ready_at = after;
+            be.read(core, translate(be, core, fill_line)?, after)?;
         }
-        if self.cores[core].accesses_done >= quota {
-            self.cores[core].finish = Some(after);
-            self.cores[core].blocked_on = None;
-            self.inflight.retain(|_, &mut c| c != core);
+        let c = &mut self.cores[core];
+        c.ready_at = after;
+        if c.accesses_done >= self.hparams.accesses_per_core {
+            c.finish = Some(after);
+        } else {
+            // An L3 miss blocks the core on the PCM read.
+            c.blocked = fill.is_some();
+        }
+        Ok(())
+    }
+}
+
+impl Cores for CacheCores {
+    const STEP: Site = Site::HierStep;
+
+    fn finished(&self) -> bool {
+        self.cores.iter().all(|c| c.finish.is_some())
+    }
+
+    fn next_issue(&self) -> Option<Cycle> {
+        self.cores
+            .iter()
+            .filter(|c| !c.blocked && c.finish.is_none())
+            .map(|c| c.ready_at)
+            .min()
+    }
+
+    fn read_done(&mut self, core: usize, at: Cycle) {
+        // A retired core's final fill lands here too; it no longer acts.
+        let c = &mut self.cores[core];
+        c.blocked = false;
+        c.ready_at = at;
+    }
+
+    fn issue_ready(&mut self, be: &mut Backend, now: Cycle) -> Result<(), SdpcmError> {
+        for core in 0..self.cores.len() {
+            let c = &self.cores[core];
+            if c.finish.is_none() && !c.blocked && c.ready_at <= now {
+                self.step(be, core, now)?;
+            }
         }
         Ok(())
     }
 
-    fn total_cycles(&self) -> u64 {
-        self.cores
-            .iter()
-            .filter_map(|c| c.finish)
-            .map(|c| c.0)
-            .max()
-            .unwrap_or(0)
+    fn progress(&self) -> u64 {
+        self.cores.iter().map(|c| c.accesses_done).sum()
     }
 }
 

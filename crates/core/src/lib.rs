@@ -9,16 +9,15 @@
 //!   `DIN`, `baseline` VnC, `LazyC`, `PreRead`, their combinations, and
 //!   the `(n:m)` allocators) and [`config::ExperimentParams`]
 //!   (seed, reference counts, geometry sizing).
-//! * [`system`] — [`system::SystemSim`]: eight trace-driven
-//!   in-order cores, per-core page tables filled by the WD-aware OS
-//!   allocator, and the cycle-level memory controller, advanced by one
-//!   event loop.
+//! * [`system`] — [`system::SystemSim`]: eight trace-driven in-order
+//!   cores replaying post-cache reference streams.
 //! * [`metrics`] — [`metrics::RunStats`]: cycles, CPI,
 //!   speedups, controller counters, and wear/lifetime summaries.
 //! * [`experiments`] — one function per paper table/figure, returning
 //!   plain rows that the bench harness formats.
 //! * [`hiersim`] — the alternative full-hierarchy front end: cores →
 //!   L1/L2/L3 → controller, for cache-sensitivity studies.
+//!
 //! * [`sweep`] — the parallel sweep executor: independent figure cells
 //!   fan out over a scoped thread pool with outputs reassembled in
 //!   input order, bit-identical to a sequential run.
@@ -30,6 +29,13 @@
 //!   simulator entry point reports instead of panicking.
 //! * [`fault`] — [`fault::FaultPlan`]: deterministic chaos scenarios
 //!   (storms, stuck-at bursts, aging ramps) installed into a simulator.
+//!
+//! Both front ends plug their cores into one private back end: per-core
+//! page tables filled by the WD-aware OS allocator (each entry carries
+//! the `(n:m)` tag to the controller), one submit path that synthesizes
+//! write payloads, the cycle-level memory controller, and one event loop
+//! with its end-of-run flush. The front ends differ only in their cores
+//! and where the flush starts.
 //!
 //! # Examples
 //!
@@ -44,6 +50,7 @@
 //! assert!(stats.reads > 0);
 //! ```
 
+mod backend;
 pub mod config;
 pub mod error;
 pub mod experiments;

@@ -6,24 +6,19 @@
 //! answers, and writes post into the write queue (stalling only when the
 //! bank's queue is full — the back-pressure behind bursty drains).
 //!
-//! The OS side happens at build time: each core's working set is mapped
-//! through the WD-aware buddy allocator under the scheme's (n:m) ratio,
-//! and the page table carries the allocator tag that the TLB forwards to
-//! the memory controller with every request (Figure 9).
+//! The OS mapping, the controller and the event loop are the shared
+//! back end (`backend.rs`); this module holds only the cores.
 
 use std::sync::Arc;
 
-use sdpcm_engine::hash::FxHashMap;
-use sdpcm_engine::prof::{self, Site};
-use sdpcm_engine::{Cycle, SimRng};
-use sdpcm_memctrl::{Access, AccessKind, Completion, MemoryController, ReqId};
-use sdpcm_osalloc::{NmAllocator, PageTable, Tlb};
-use sdpcm_pcm::geometry::LineAddr;
-use sdpcm_pcm::line::LineBuf;
-use sdpcm_trace::{BenchKind, RefSource, RefTrace, ToggleMask, TraceRef, Workload};
+use sdpcm_engine::prof::Site;
+use sdpcm_engine::Cycle;
+use sdpcm_memctrl::MemoryController;
+use sdpcm_trace::{BenchKind, RefSource, RefTrace, TraceRef, Workload};
 
+use crate::backend::{Backend, Cores};
 use crate::config::{ExperimentParams, Scheme};
-use crate::error::{MapError, SdpcmError, SimError};
+use crate::error::{SdpcmError, SimError};
 use crate::fault::FaultPlan;
 use crate::metrics::RunStats;
 
@@ -32,27 +27,25 @@ struct Core {
     src: RefSource,
     /// The next reference and the time the core is ready to issue it.
     pending: Option<(TraceRef, Cycle)>,
-    blocked_read: Option<ReqId>,
+    /// Waiting for a read to complete.
+    blocked: bool,
     refs_done: u64,
     instructions: u64,
     finish: Option<Cycle>,
+}
+
+/// The trace-driven cores and their per-core reference quota.
+struct TraceCores {
+    cores: Vec<Core>,
+    quota: u64,
 }
 
 /// The assembled system: cores + OS mapping + controller.
 pub struct SystemSim {
     scheme: Scheme,
     workload_name: String,
-    params: ExperimentParams,
-    ctrl: MemoryController,
-    cores: Vec<Core>,
-    tables: Vec<PageTable>,
-    tlbs: Vec<Tlb>,
-    /// Reusable completion buffer for the hot event loop.
-    done_scratch: Vec<Completion>,
-    inflight: FxHashMap<ReqId, usize>,
-    next_id: u64,
-    reads_issued: u64,
-    writes_issued: u64,
+    be: Backend,
+    cores: TraceCores,
 }
 
 impl std::fmt::Debug for SystemSim {
@@ -85,9 +78,10 @@ impl SystemSim {
         workload: &Workload,
         params: &ExperimentParams,
     ) -> Result<SystemSim, SdpcmError> {
-        let (ctrl, mut rng) = SystemSim::build_backend(scheme, workload, params)?;
+        // `RefTrace::capture` mirrors this RNG chain up to the sources.
+        let (be, mut rng) = Backend::build(scheme, workload, params, "system")?;
         let sources = RefSource::live_sources(workload, &mut rng);
-        SystemSim::assemble(scheme, workload, params, ctrl, sources)
+        Ok(SystemSim::assemble(scheme, workload, params, be, sources))
     }
 
     /// Builds the system over a previously captured reference trace:
@@ -119,120 +113,56 @@ impl SystemSim {
         if expect != got {
             return Err(SimError::TraceMismatch { expect, got }.into());
         }
-        let (ctrl, _rng) = SystemSim::build_backend(scheme, workload, params)?;
+        let (be, _rng) = Backend::build(scheme, workload, params, "system")?;
         let sources = RefSource::replay_sources(trace);
-        SystemSim::assemble(scheme, workload, params, ctrl, sources)
+        Ok(SystemSim::assemble(scheme, workload, params, be, sources))
     }
 
-    /// Validates the parameters and builds the controller. Returns the
-    /// parent RNG *after* the controller stream has been derived — the
-    /// exact point [`RefTrace::capture`] mirrors.
-    fn build_backend(
-        scheme: &Scheme,
-        workload: &Workload,
-        params: &ExperimentParams,
-    ) -> Result<(MemoryController, SimRng), SdpcmError> {
-        params.validate()?;
-        let mut rng = SimRng::from_seed_label(params.seed, "system");
-        let geometry = params.geometry_for(workload, scheme.ratio)?;
-        let ctrl = params.controller(scheme.ctrl, geometry, rng.derive("ctrl"))?;
-        Ok((ctrl, rng))
-    }
-
-    /// Maps every core's working set and wires the reference sources to
-    /// the backend.
+    /// Wires the reference sources to the backend.
     fn assemble(
         scheme: &Scheme,
         workload: &Workload,
         params: &ExperimentParams,
-        ctrl: MemoryController,
+        be: Backend,
         sources: Vec<RefSource>,
-    ) -> Result<SystemSim, SdpcmError> {
-        // OS: allocate and map every core's working set up front.
-        let mut os = NmAllocator::new(ctrl.store().geometry().total_pages());
-        let mut tables = Vec::new();
-        let mut tlbs = Vec::new();
-        for (core, pages) in workload.pages_per_core().into_iter().enumerate() {
-            let frames = os
-                .alloc_pages(scheme.ratio, pages)
-                .ok_or(MapError::DeviceFull { core, pages })?;
-            let mut table = PageTable::new();
-            for (vpage, frame) in frames.into_iter().enumerate() {
-                table.map(vpage as u64, frame, scheme.ratio);
-            }
-            tables.push(table);
-            tlbs.push(Tlb::new(64));
-        }
-
+    ) -> SystemSim {
         let cores = sources
             .into_iter()
             .map(|mut src| {
                 let first = src.next_ref();
-                let ready = Cycle(first.gap);
                 Core {
                     src,
-                    pending: Some((first, ready)),
-                    blocked_read: None,
+                    pending: Some((first, Cycle(first.gap))),
+                    blocked: false,
                     refs_done: 0,
                     instructions: first.gap,
                     finish: None,
                 }
             })
             .collect();
-
-        Ok(SystemSim {
+        SystemSim {
             scheme: scheme.clone(),
             workload_name: workload.name().to_owned(),
-            params: *params,
-            ctrl,
-            cores,
-            tables,
-            tlbs,
-            done_scratch: Vec::new(),
-            inflight: FxHashMap::default(),
-            next_id: 0,
-            reads_issued: 0,
-            writes_issued: 0,
-        })
+            be,
+            cores: TraceCores {
+                cores,
+                quota: params.refs_per_core,
+            },
+        }
     }
 
     /// Immutable access to the controller (tests, diagnostics).
     #[must_use]
     pub fn controller(&self) -> &MemoryController {
-        &self.ctrl
+        self.be.controller()
     }
 
     /// Installs a chaos scenario: the plan is validated and handed to the
     /// controller, which fires its faults as the committed-write counter
     /// crosses their trigger points.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<(), SdpcmError> {
-        self.ctrl.install_chaos(plan.build()?);
+        self.be.controller_mut().install_chaos(plan.build()?);
         Ok(())
-    }
-
-    /// Translates a core's virtual line position to its device address.
-    fn translate(&mut self, core: usize, vpage: u64, slot: u8) -> Result<LineAddr, MapError> {
-        let pte = self.tlbs[core]
-            .translate(vpage, &self.tables[core])
-            .ok_or(MapError::WorkingSetUnmapped { core, vpage })?;
-        let (bank, row) = self
-            .ctrl
-            .store()
-            .geometry()
-            .page_to_bank_row(sdpcm_pcm::geometry::PageId(pte.frame));
-        Ok(LineAddr { bank, row, slot })
-    }
-
-    /// Synthesizes a write payload: the line's newest architectural
-    /// value with the reference's recorded toggle mask applied. Both the
-    /// live and the replay path go through here, so payloads are
-    /// bit-identical between them by construction.
-    fn payload(&mut self, addr: LineAddr, mask: &ToggleMask) -> LineBuf {
-        let mut words = *self.ctrl.latest_architectural(addr).words();
-        for (w, m) in words.iter_mut().zip(mask) {
-            *w ^= m;
-        }
-        LineBuf::from_words(words)
     }
 
     /// Runs the simulation to completion and reports the statistics.
@@ -243,98 +173,28 @@ impl SystemSim {
     /// snapshot) when the event loop stops making progress, and
     /// propagates controller and translation errors.
     pub fn run(&mut self) -> Result<RunStats, SdpcmError> {
-        let quota = self.params.refs_per_core;
-        let mut guard: u64 = 0;
-        loop {
-            if self.cores.iter().all(|c| c.finish.is_some()) {
-                break;
-            }
-            let _t = prof::timer(Site::SystemStep);
-            let core_t = self
-                .cores
-                .iter()
-                .filter(|c| c.blocked_read.is_none())
-                .filter_map(|c| c.pending.as_ref())
-                .map(|(_, at)| *at)
-                .min();
-            let ctrl_t = self.ctrl.next_event();
-            let now = match (core_t, ctrl_t) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => {
-                    // Cores are unfinished but nothing is scheduled: the
-                    // loop can never progress again.
-                    return Err(self.livelock(Cycle::MAX));
-                }
-            };
-            guard += 1;
-            if guard >= 500_000_000 {
-                return Err(self.livelock(now));
-            }
-
-            // Deliver controller completions first: they may unblock
-            // cores whose next issue is also at `now`.
-            let mut done_buf = std::mem::take(&mut self.done_scratch);
-            self.ctrl.advance_into(now, &mut done_buf)?;
-            for done in &done_buf {
-                if done.was_write {
-                    continue;
-                }
-                let Some(core) = self.inflight.remove(&done.id) else {
-                    continue;
-                };
-                self.cores[core].blocked_read = None;
-                self.next_ref(core, done.at, quota);
-            }
-            self.done_scratch = done_buf;
-
-            // Issue everything that is ready.
-            for core in 0..self.cores.len() {
-                let ready = matches!(
-                    &self.cores[core].pending,
-                    Some((_, at)) if *at <= now && self.cores[core].blocked_read.is_none()
-                );
-                if ready {
-                    self.issue(core, now, quota)?;
-                }
-            }
-        }
-
-        // Flush remaining queued writes so per-write statistics cover the
-        // full reference stream (not counted toward execution time).
-        let end = self.ctrl.next_event().unwrap_or(Cycle(self.total_cycles()));
-        self.ctrl.drain_all(end);
-        let mut done_buf = std::mem::take(&mut self.done_scratch);
-        while let Some(t) = self.ctrl.next_event() {
-            self.ctrl.advance_into(t, &mut done_buf)?;
-            self.ctrl.drain_all(t);
-        }
-        self.done_scratch = done_buf;
-
-        Ok(RunStats {
-            scheme: self.scheme.name.clone(),
-            workload: self.workload_name.clone(),
-            total_cycles: self.total_cycles(),
-            instructions: self.cores.iter().map(|c| c.instructions).sum(),
-            reads: self.reads_issued,
-            writes: self.writes_issued,
-            ctrl: self.ctrl.stats(),
-            wear: self.ctrl.store().wear(),
-            energy: self.ctrl.energy(),
-        })
+        self.be.run(&mut self.cores)?;
+        // The flush starts at the next controller event, or at the last
+        // finish when the controller is idle. `HierarchySim` starts at
+        // the last finish; unifying the two would move its results.
+        let total_cycles = self.cores.total_cycles();
+        let start = self
+            .be
+            .controller()
+            .next_event()
+            .unwrap_or(Cycle(total_cycles));
+        self.be.flush(start)?;
+        let instructions = self.cores.cores.iter().map(|c| c.instructions).sum();
+        Ok(self.be.stats(
+            &self.scheme.name,
+            self.workload_name.clone(),
+            total_cycles,
+            instructions,
+        ))
     }
+}
 
-    /// Builds the livelock report with the controller's queue snapshot.
-    fn livelock(&self, now: Cycle) -> SdpcmError {
-        SimError::Livelock {
-            cycle: now.0,
-            refs_done: self.cores.iter().map(|c| c.refs_done).sum(),
-            snapshot: self.ctrl.snapshot(now),
-        }
-        .into()
-    }
-
+impl TraceCores {
     fn total_cycles(&self) -> u64 {
         self.cores
             .iter()
@@ -345,53 +205,27 @@ impl SystemSim {
     }
 
     /// Issues the pending reference of `core` at time `now`.
-    fn issue(&mut self, core: usize, now: Cycle, quota: u64) -> Result<(), SdpcmError> {
+    fn issue(&mut self, be: &mut Backend, core: usize, now: Cycle) -> Result<(), SdpcmError> {
         let Some((r, _)) = self.cores[core].pending.take() else {
             return Ok(()); // raced away; nothing to issue
         };
-        let addr = self.translate(core, r.vpage, r.slot)?;
+        let to = be.translate(core, r.vpage, r.slot)?;
         if r.is_write {
-            if !self.ctrl.can_accept_write(addr) {
+            if !be.controller().can_accept_write(to.addr) {
                 // Queue full: stall until the controller makes progress.
-                let retry = self
-                    .ctrl
+                let retry = be
+                    .controller()
                     .next_event()
                     .map_or(now + Cycle(400), |t| t.max(now + Cycle(1)));
                 self.cores[core].pending = Some((r, retry));
                 return Ok(());
             }
-            let data = self.payload(addr, &r.mask);
-            let id = self.fresh_id();
-            self.writes_issued += 1;
-            self.ctrl.submit(
-                Access {
-                    id,
-                    addr,
-                    kind: AccessKind::Write(data),
-                    ratio: self.scheme.ratio,
-                    core: core as u8,
-                    arrive: now,
-                },
-                now,
-            )?;
+            be.write(core, to, &r.mask, now)?;
             self.cores[core].refs_done += 1;
-            self.next_ref(core, now, quota);
+            self.next_ref(core, now);
         } else {
-            let id = self.fresh_id();
-            self.reads_issued += 1;
-            self.inflight.insert(id, core);
-            self.cores[core].blocked_read = Some(id);
-            self.ctrl.submit(
-                Access {
-                    id,
-                    addr,
-                    kind: AccessKind::Read,
-                    ratio: self.scheme.ratio,
-                    core: core as u8,
-                    arrive: now,
-                },
-                now,
-            )?;
+            be.read(core, to, now)?;
+            self.cores[core].blocked = true;
             self.cores[core].refs_done += 1;
         }
         Ok(())
@@ -399,9 +233,9 @@ impl SystemSim {
 
     /// Prepares the core's next reference after time `at`, or marks it
     /// finished.
-    fn next_ref(&mut self, core: usize, at: Cycle, quota: u64) {
+    fn next_ref(&mut self, core: usize, at: Cycle) {
         let c = &mut self.cores[core];
-        if c.refs_done >= quota {
+        if c.refs_done >= self.quota {
             if c.finish.is_none() {
                 c.finish = Some(at);
             }
@@ -412,11 +246,41 @@ impl SystemSim {
         c.instructions += r.gap;
         c.pending = Some((r, at + Cycle(r.gap)));
     }
+}
 
-    fn fresh_id(&mut self) -> ReqId {
-        let id = ReqId(self.next_id);
-        self.next_id += 1;
-        id
+impl Cores for TraceCores {
+    const STEP: Site = Site::SystemStep;
+
+    fn finished(&self) -> bool {
+        self.cores.iter().all(|c| c.finish.is_some())
+    }
+
+    fn next_issue(&self) -> Option<Cycle> {
+        self.cores
+            .iter()
+            .filter(|c| !c.blocked)
+            .filter_map(|c| c.pending.as_ref())
+            .map(|(_, at)| *at)
+            .min()
+    }
+
+    fn read_done(&mut self, core: usize, at: Cycle) {
+        self.cores[core].blocked = false;
+        self.next_ref(core, at);
+    }
+
+    fn issue_ready(&mut self, be: &mut Backend, now: Cycle) -> Result<(), SdpcmError> {
+        for core in 0..self.cores.len() {
+            let c = &self.cores[core];
+            if !c.blocked && matches!(c.pending, Some((_, at)) if at <= now) {
+                self.issue(be, core, now)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn progress(&self) -> u64 {
+        self.cores.iter().map(|c| c.refs_done).sum()
     }
 }
 

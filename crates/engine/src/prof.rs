@@ -46,9 +46,11 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Site {
-    /// `SystemSim::run` event-loop body (post-cache front end).
+    /// Event-loop iteration driving `SystemSim`'s cores (post-cache
+    /// front end).
     SystemStep,
-    /// `HierarchySim::run` event-loop body (full-hierarchy front end).
+    /// Event-loop iteration driving `HierarchySim`'s cores
+    /// (full-hierarchy front end).
     HierStep,
     /// `MemoryController::submit`.
     CtrlSubmit,

@@ -43,7 +43,7 @@ pub struct Access {
     pub addr: LineAddr,
     /// Read or write (+ data).
     pub kind: AccessKind,
-    /// The (n:m) allocator tag delivered by the TLB (Figure 9).
+    /// The (n:m) allocator tag from the page-table entry (Figure 9).
     pub ratio: NmRatio,
     /// Issuing core (statistics only).
     pub core: u8,

@@ -22,9 +22,9 @@
 //! * [`nmalloc`] — the WD-aware allocator: per-(n:m) free-block-list
 //!   arrays fed with 64 MB blocks from the (1:1) buddy, handing out only
 //!   frames from used strips.
-//! * [`pagetable`] — per-process page tables carrying the 4-bit (n:m)
-//!   allocator tag, plus the TLB that forwards the tag to the memory
-//!   controller.
+//! * [`pagetable`] — per-process page tables whose entries carry the
+//!   4-bit (n:m) allocator tag; a translation hands the tag to the memory
+//!   controller with the physical address.
 //! * [`dma`] — DMA address generation under (1:1)/(1:2) allocation.
 
 pub mod buddy;
@@ -38,5 +38,5 @@ pub mod policy;
 pub use nm::{InvalidRatio, NmRatio};
 pub use nmalloc::NmAllocator;
 pub use nmbuddy::NmBuddyAllocator;
-pub use pagetable::{PageTable, Tlb};
+pub use pagetable::PageTable;
 pub use policy::{AdjacentNeed, VerifyPolicy};

@@ -146,7 +146,7 @@ impl NmRatio {
         self.is_marked_position(self.position_of(strip))
     }
 
-    /// The 4-bit allocator tag carried through the page table and TLB.
+    /// The 4-bit allocator tag carried by the page-table entry.
     /// Tags enumerate the supported allocators; (1:1) is tag 0.
     #[must_use]
     pub fn tag(self) -> u8 {

@@ -1,13 +1,12 @@
-//! Page tables and the tag-carrying TLB (paper Figure 9).
+//! Per-process page tables carrying the allocator tag (paper Figure 9).
 //!
 //! Each process (core) has a page table mapping virtual pages to physical
 //! frames. SD-PCM adds a 4-bit **(n:m) allocator tag** to every entry;
-//! the tag is loaded into the TLB on a fill and passed with the physical
-//! address to the memory controller, which uses it to decide which
-//! adjacent lines need verification. The TLB here is functional (the
-//! paper treats its latency as part of the core pipeline) but tracks
-//! hit/miss counts so experiments can confirm the tag path adds no
-//! traffic.
+//! a translation returns the tag with the physical frame, and the tag
+//! travels with the request to the memory controller, which uses it to
+//! decide which adjacent lines need verification. Translation is
+//! functional: the paper treats its latency as part of the core
+//! pipeline.
 
 use std::collections::HashMap;
 
@@ -57,82 +56,10 @@ impl PageTable {
         assert!(prev.is_none(), "virtual page {vpage} double mapped");
     }
 
-    /// Removes a mapping, returning it.
-    pub fn unmap(&mut self, vpage: u64) -> Option<PteEntry> {
-        self.entries.remove(&vpage)
-    }
-
     /// Looks up a virtual page.
     #[must_use]
     pub fn translate(&self, vpage: u64) -> Option<PteEntry> {
         self.entries.get(&vpage).copied()
-    }
-
-    /// Number of mapped pages.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no pages are mapped.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// A small fully-associative TLB with FIFO replacement carrying the
-/// allocator tag alongside the translation.
-#[derive(Debug, Clone)]
-pub struct Tlb {
-    capacity: usize,
-    entries: Vec<(u64, PteEntry)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl Tlb {
-    /// Creates a TLB with room for `capacity` translations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Tlb {
-        assert!(capacity > 0, "TLB needs capacity");
-        Tlb {
-            capacity,
-            entries: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Translates through the TLB, filling from `pt` on a miss.
-    /// Returns `None` only if the page table has no mapping.
-    pub fn translate(&mut self, vpage: u64, pt: &PageTable) -> Option<PteEntry> {
-        if let Some((_, e)) = self.entries.iter().find(|(v, _)| *v == vpage) {
-            self.hits += 1;
-            return Some(*e);
-        }
-        self.misses += 1;
-        let e = pt.translate(vpage)?;
-        if self.entries.len() == self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push((vpage, e));
-        Some(e)
-    }
-
-    /// `(hits, misses)` so far.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Drops all cached translations (e.g. after remapping).
-    pub fn flush(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -141,15 +68,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_translate_unmap() {
+    fn map_translate() {
         let mut pt = PageTable::new();
         pt.map(5, 99, NmRatio::one_two());
-        assert_eq!(pt.translate(5).unwrap().frame, 99);
-        assert_eq!(pt.len(), 1);
-        let e = pt.unmap(5).unwrap();
+        let e = pt.translate(5).unwrap();
+        assert_eq!(e.frame, 99);
         assert_eq!(e.ratio, NmRatio::one_two());
-        assert!(pt.is_empty());
-        assert!(pt.translate(5).is_none());
+        assert!(pt.translate(6).is_none());
     }
 
     #[test]
@@ -158,57 +83,5 @@ mod tests {
         let mut pt = PageTable::new();
         pt.map(1, 2, NmRatio::one_one());
         pt.map(1, 3, NmRatio::one_one());
-    }
-
-    #[test]
-    fn tlb_caches_translations() {
-        let mut pt = PageTable::new();
-        pt.map(7, 70, NmRatio::two_three());
-        let mut tlb = Tlb::new(4);
-        assert_eq!(tlb.translate(7, &pt).unwrap().frame, 70);
-        assert_eq!(tlb.translate(7, &pt).unwrap().frame, 70);
-        assert_eq!(tlb.stats(), (1, 1));
-    }
-
-    #[test]
-    fn tlb_fifo_eviction() {
-        let mut pt = PageTable::new();
-        for v in 0..3 {
-            pt.map(v, v + 100, NmRatio::one_one());
-        }
-        let mut tlb = Tlb::new(2);
-        tlb.translate(0, &pt);
-        tlb.translate(1, &pt);
-        tlb.translate(2, &pt); // evicts 0
-        tlb.translate(0, &pt); // miss again
-        assert_eq!(tlb.stats(), (0, 4));
-    }
-
-    #[test]
-    fn tlb_carries_the_tag() {
-        let mut pt = PageTable::new();
-        pt.map(1, 10, NmRatio::two_three());
-        pt.map(2, 20, NmRatio::one_two());
-        let mut tlb = Tlb::new(8);
-        assert_eq!(tlb.translate(1, &pt).unwrap().ratio, NmRatio::two_three());
-        assert_eq!(tlb.translate(2, &pt).unwrap().ratio, NmRatio::one_two());
-    }
-
-    #[test]
-    fn tlb_flush_forces_misses() {
-        let mut pt = PageTable::new();
-        pt.map(3, 30, NmRatio::one_one());
-        let mut tlb = Tlb::new(2);
-        tlb.translate(3, &pt);
-        tlb.flush();
-        tlb.translate(3, &pt);
-        assert_eq!(tlb.stats(), (0, 2));
-    }
-
-    #[test]
-    fn unmapped_page_is_none() {
-        let pt = PageTable::new();
-        let mut tlb = Tlb::new(2);
-        assert!(tlb.translate(9, &pt).is_none());
     }
 }

@@ -1,7 +1,7 @@
 //! The hardware-side verification policy (paper Figure 9).
 //!
 //! The memory controller receives the 4-bit allocator tag with each write
-//! (via page table → TLB → request) and decides *arithmetically* which of
+//! (page-table entry → request) and decides *arithmetically* which of
 //! the two bit-line-adjacent lines must be verified:
 //!
 //! * a neighbour lying in a strip the allocator marks no-use stores no

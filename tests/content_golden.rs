@@ -7,7 +7,9 @@
 //! these constants — that is the point. Such a change invalidates every
 //! externally recorded digest at once and must be deliberate: update the
 //! constants here in the same commit and call the migration out in
-//! DESIGN.md ("Golden migrations").
+//! DESIGN.md ("Golden migrations"). Each entry also pins
+//! `total_cycles`, so a change to event timing fails here even when the
+//! final device content happens not to move.
 //!
 //! Last re-pin: the counter-based (Philox4x32-10) RNG swap. Pre-swap
 //! values for this exact configuration were 0x3b33be6fbee0e0a7
@@ -23,11 +25,11 @@ fn content_digests_match_pinned_goldens() {
         refs_per_core: 400,
         ..ExperimentParams::quick_test()
     };
-    let golden: [(Scheme, u64, u64); 2] = [
-        (Scheme::baseline(), 0xf3b068afa82ce015, 1477),
-        (Scheme::lazyc_preread(), 0xa9c2762e21858575, 1477),
+    let golden: [(Scheme, u64, u64, u64); 2] = [
+        (Scheme::baseline(), 0xf3b068afa82ce015, 1477, 1_417_452),
+        (Scheme::lazyc_preread(), 0xa9c2762e21858575, 1477, 747_820),
     ];
-    for (scheme, digest, writes) in golden {
+    for (scheme, digest, writes, cycles) in golden {
         let mut sim = SystemSim::build(&scheme, BenchKind::Mcf, &params).unwrap();
         let stats = sim.run().unwrap();
         assert_eq!(
@@ -38,6 +40,7 @@ fn content_digests_match_pinned_goldens() {
             scheme.name
         );
         assert_eq!(stats.ctrl.writes.get(), writes, "{}", scheme.name);
+        assert_eq!(stats.total_cycles, cycles, "{}", scheme.name);
     }
 }
 
@@ -45,11 +48,21 @@ fn content_digests_match_pinned_goldens() {
 fn hierarchy_content_digests_match_pinned_goldens() {
     // The hierarchy front end has no second path to cross-check against,
     // so its live cache simulation is pinned absolutely.
-    let golden: [(Scheme, u64, (u64, u64)); 2] = [
-        (Scheme::baseline(), 0x311a3704e86ccdee, (11996, 3247)),
-        (Scheme::lazyc_preread(), 0xbe85c139025b5d29, (11996, 3247)),
+    let golden: [(Scheme, u64, (u64, u64), u64); 2] = [
+        (
+            Scheme::baseline(),
+            0x311a3704e86ccdee,
+            (11996, 3247),
+            5_156_800,
+        ),
+        (
+            Scheme::lazyc_preread(),
+            0xbe85c139025b5d29,
+            (11996, 3247),
+            2_922_550,
+        ),
     ];
-    for (scheme, digest, traffic) in golden {
+    for (scheme, digest, traffic, cycles) in golden {
         let name = scheme.name.clone();
         let mut sim = HierarchySim::build(
             scheme,
@@ -58,12 +71,13 @@ fn hierarchy_content_digests_match_pinned_goldens() {
             &HierarchyParams::quick_test(),
         )
         .unwrap();
-        sim.run().unwrap();
+        let stats = sim.run().unwrap();
         assert_eq!(
             sim.controller().store().content_digest(),
             digest,
             "{name}: hierarchy content digest moved (see module docs)"
         );
         assert_eq!(sim.pcm_traffic(), traffic, "{name}");
+        assert_eq!(stats.total_cycles, cycles, "{name}");
     }
 }

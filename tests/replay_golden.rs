@@ -13,7 +13,7 @@ use std::sync::Arc;
 use sdpcm_core::experiments::{run_cell, run_cell_replay};
 use sdpcm_core::hiersim::{HierarchyParams, HierarchySim};
 use sdpcm_core::sweep::parallel_map;
-use sdpcm_core::{ExperimentParams, Scheme, SystemSim, TraceStore};
+use sdpcm_core::{ExperimentParams, Scheme, SdpcmError, SimError, SystemSim, TraceStore};
 use sdpcm_trace::{BenchKind, RefTrace, Workload};
 
 fn tiny() -> ExperimentParams {
@@ -95,6 +95,32 @@ fn trace_store_cells_match_inline_cells() {
 
 /// Inline hierarchy run of one cell: stats, PCM traffic, and the device
 /// content digest.
+#[test]
+fn replay_rejects_a_trace_captured_for_another_run() {
+    // A trace is only valid for the (workload, seed, refs_per_core) it was
+    // captured under; replaying it anywhere else would silently simulate a
+    // different experiment.
+    let params = tiny();
+    let wl = Workload::homogeneous(BenchKind::Mcf);
+    let other = Workload::homogeneous(BenchKind::Lbm);
+    let mismatches = [
+        (wl.clone(), params.seed + 1, params.refs_per_core),
+        (wl.clone(), params.seed, params.refs_per_core + 1),
+        (other, params.seed, params.refs_per_core),
+    ];
+    for (captured, seed, refs) in mismatches {
+        let trace = Arc::new(RefTrace::capture(&captured, seed, refs));
+        let err = SystemSim::build_replay(&Scheme::lazyc(), &wl, &params, &trace).unwrap_err();
+        assert!(
+            matches!(err, SdpcmError::Sim(SimError::TraceMismatch { .. })),
+            "{}/{seed}/{refs}: expected TraceMismatch, got {err}",
+            captured.name()
+        );
+    }
+    let trace = Arc::new(RefTrace::capture(&wl, params.seed, params.refs_per_core));
+    assert!(SystemSim::build_replay(&Scheme::lazyc(), &wl, &params, &trace).is_ok());
+}
+
 fn hier_cell(scheme: &Scheme, params: &ExperimentParams) -> (String, (u64, u64), u64) {
     let hparams = HierarchyParams::quick_test();
     let mut sim = HierarchySim::build(scheme.clone(), BenchKind::Mcf, params, &hparams).unwrap();
