@@ -13,7 +13,7 @@
 use sdpcm_engine::hash::FxHashMap;
 use sdpcm_engine::prof::{self, Site};
 use sdpcm_engine::{Cycle, SimRng};
-use sdpcm_memctrl::{Access, AccessKind, Completion, MemoryController, ReqId};
+use sdpcm_memctrl::{Access, AccessKind, Completion, MemoryController, ReqId, Wake};
 use sdpcm_osalloc::{NmAllocator, NmRatio, PageTable};
 use sdpcm_pcm::geometry::{LineAddr, PageId};
 use sdpcm_pcm::line::LineBuf;
@@ -22,6 +22,10 @@ use sdpcm_trace::{ToggleMask, Workload};
 use crate::config::{ExperimentParams, Scheme};
 use crate::error::{MapError, SdpcmError, SimError};
 use crate::metrics::RunStats;
+
+/// Livelock guard of [`Backend::run`]: front-end wakes plus bank
+/// operations processed inside the controller.
+const LOOP_BUDGET: u64 = 500_000_000;
 
 /// A front end's cores, as the shared event loop drives them.
 pub(crate) trait Cores {
@@ -188,9 +192,10 @@ impl Backend {
         Ok(id)
     }
 
-    /// Runs the event loop until every core has retired: pick the next
-    /// time a core or the controller acts, advance the controller to it,
-    /// unblock cores whose reads completed, then let ready cores act.
+    /// Runs the event loop until every core has retired: run the
+    /// controller to the next time a core can observe something (its
+    /// next issue, or a read completion that may unblock one), unblock
+    /// cores whose reads completed, then let ready cores act.
     ///
     /// # Errors
     ///
@@ -198,26 +203,31 @@ impl Backend {
     /// snapshot) when the loop stops making progress, and propagates
     /// controller and translation errors.
     pub(crate) fn run<C: Cores>(&mut self, cores: &mut C) -> Result<(), SdpcmError> {
-        let mut guard: u64 = 0;
+        self.run_within(cores, LOOP_BUDGET)
+    }
+
+    /// [`Backend::run`] with an explicit livelock budget, spent one unit
+    /// per wake and one per bank operation the controller processes.
+    fn run_within<C: Cores>(&mut self, cores: &mut C, mut budget: u64) -> Result<(), SdpcmError> {
         while !cores.finished() {
             let _t = prof::timer(C::STEP);
-            let Some(now) = cores
-                .next_issue()
-                .into_iter()
-                .chain(self.ctrl.next_event())
-                .min()
-            else {
-                // Cores are unfinished but nothing is scheduled: the loop
-                // can never progress again.
-                return Err(self.livelock(Cycle::MAX, cores.progress()));
-            };
-            guard += 1;
-            if guard >= 500_000_000 {
-                return Err(self.livelock(now, cores.progress()));
+            if budget == 0 {
+                let at = self.ctrl.next_event().unwrap_or(Cycle::MAX);
+                return Err(self.livelock(at, cores.progress()));
             }
+            budget -= 1;
             // Deliver controller completions first: they may unblock
             // cores whose next issue is also at `now`.
-            self.ctrl.advance_into(now, &mut self.done_scratch)?;
+            let wake =
+                self.ctrl
+                    .run_until(cores.next_issue(), &mut budget, &mut self.done_scratch)?;
+            let now = match wake {
+                Wake::At(now) => now,
+                // Cores are unfinished but nothing they wait on will
+                // ever happen: the loop can never progress again.
+                Wake::Idle => return Err(self.livelock(Cycle::MAX, cores.progress())),
+                Wake::OutOfBudget(at) => return Err(self.livelock(at, cores.progress())),
+            };
             for done in &self.done_scratch {
                 if done.was_write {
                     continue;
@@ -272,5 +282,85 @@ impl Backend {
             snapshot: self.ctrl.snapshot(now),
         }
         .into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdpcm_trace::BenchKind;
+
+    /// Cores blocked on a read the controller never received: nothing
+    /// they wait on can ever happen.
+    struct Stuck;
+
+    impl Cores for Stuck {
+        const STEP: Site = Site::SystemStep;
+
+        fn finished(&self) -> bool {
+            false
+        }
+
+        fn next_issue(&self) -> Option<Cycle> {
+            None
+        }
+
+        fn read_done(&mut self, core: usize, _at: Cycle) {
+            panic!("core {core} never submitted a read");
+        }
+
+        fn issue_ready(&mut self, _be: &mut Backend, _now: Cycle) -> Result<(), SdpcmError> {
+            Ok(())
+        }
+
+        fn progress(&self) -> u64 {
+            7
+        }
+    }
+
+    fn backend() -> Backend {
+        let (be, _) = Backend::build(
+            &Scheme::lazyc_preread(),
+            &Workload::homogeneous(BenchKind::Mcf),
+            &ExperimentParams::quick_test(),
+            "backend-test",
+        )
+        .unwrap();
+        be
+    }
+
+    fn livelock(err: SdpcmError) -> (u64, u64, sdpcm_memctrl::CtrlSnapshot) {
+        match err {
+            SdpcmError::Sim(SimError::Livelock {
+                cycle,
+                refs_done,
+                snapshot,
+            }) => (cycle, refs_done, snapshot),
+            other => panic!("expected a livelock, got {other}"),
+        }
+    }
+
+    #[test]
+    fn blocked_cores_over_an_idle_controller_livelock() {
+        let (cycle, refs_done, snapshot) = livelock(backend().run(&mut Stuck).unwrap_err());
+        assert_eq!((cycle, refs_done), (u64::MAX, 7));
+        assert_eq!(snapshot.in_flight, 0);
+    }
+
+    #[test]
+    fn controller_work_counts_against_the_livelock_budget() {
+        // Queued writes keep the controller busy, but none of their bank
+        // operations can wake the blocked cores: the budget, not the
+        // controller running dry, must end the loop.
+        let mut be = backend();
+        for vpage in 0..8 {
+            let to = be.translate(0, vpage, 0).unwrap();
+            be.write(0, to, &[u64::MAX; 8], Cycle(0)).unwrap();
+        }
+        be.controller_mut().drain_all(Cycle(0));
+        let (cycle, refs_done, snapshot) = livelock(be.run_within(&mut Stuck, 4).unwrap_err());
+        assert_ne!(cycle, u64::MAX, "must stop on the budget, not on idleness");
+        assert_eq!(refs_done, 7);
+        assert!(snapshot.in_flight > 0 || snapshot.queued_writes > 0);
     }
 }

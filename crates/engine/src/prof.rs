@@ -54,7 +54,10 @@ pub enum Site {
     HierStep,
     /// `MemoryController::submit`.
     CtrlSubmit,
-    /// `MemoryController::advance`/`advance_into`.
+    /// `MemoryController::run_until` (one probe per front-end wake: the
+    /// bank operations it completes internally are counted in its time,
+    /// not in its calls) and `advance`/`advance_into` (one per call,
+    /// e.g. per end-of-run flush step).
     CtrlAdvance,
     /// VnC verification reads resolved against the device.
     CtrlVerify,

@@ -1,15 +1,23 @@
 //! The memory controller: queues, bank scheduling, and the VnC engine.
 //!
 //! Event-driven: the system calls [`MemoryController::submit`] to hand in
-//! requests, [`MemoryController::next_event`] to learn when the earliest
-//! in-flight bank operation finishes, and [`MemoryController::advance`]
-//! to process everything up to a time and collect completions.
+//! requests and [`MemoryController::run_until`] to run the banks to the
+//! next time a core can observe something — its own next issue time or
+//! the earliest read completion — collecting the completions due then.
+//! Write completions, write-job steps and idle pre-reads complete inside
+//! that call and wake no one. [`MemoryController::next_event`] (the
+//! earliest bank operation or queued completion of any kind) and
+//! [`MemoryController::advance`] (process up to a given time) remain for
+//! callers that step the controller themselves, such as the end-of-run
+//! flush.
 //!
 //! Every run walks one event path: bank operations complete in global
-//! `(busy_until, bank)` order, and completions leave one controller-wide
-//! queue in `(at, id)` order. Each bank's logic runs as an independent
-//! lane, so the order banks are visited in is unobservable — it only
-//! fixes the draw order of the chaos harness.
+//! `(busy_until, bank)` order, read off a per-bank calendar whose head
+//! is cached, and completions leave one controller-wide queue in
+//! `(at, id)` order. Each bank's logic runs as an independent lane, so
+//! the order banks are visited in is unobservable — it only fixes the
+//! draw order of the chaos harness — and so is how often the controller
+//! is asked to advance (cadence invariance).
 //!
 //! Per bank (Table 2: 16 banks, 32-entry write queue per bank):
 //!
@@ -30,9 +38,7 @@
 //! shared channel bus (≈8 cycles per 64 B burst) is not modelled — it is
 //! two orders of magnitude below the array latencies that dominate.
 
-use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use sdpcm_engine::hash::{FxHashMap, FxHashSet};
 use sdpcm_engine::prof::{self, Site};
@@ -49,6 +55,7 @@ use sdpcm_wd::chaos::{ChaosAction, ChaosEngine, ChaosPlan, FaultEvent};
 use sdpcm_wd::din::{DinCodec, DinFlags};
 use sdpcm_wd::{DisturbanceModel, WdInjector};
 
+use crate::calendar::{BankCalendar, DueQueue};
 use crate::error::{BankSnapshot, CtrlError, CtrlSnapshot};
 use crate::req::{Access, AccessKind, Completion, ReqId};
 use crate::scheme::CtrlScheme;
@@ -130,6 +137,21 @@ impl CtrlConfig {
     }
 }
 
+/// Where [`MemoryController::run_until`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// The front end acts at this time: its limit, or the earliest read
+    /// completion if that came first. Every completion due by then was
+    /// handed out.
+    At(Cycle),
+    /// No limit was given and no read is pending: the controller ran out
+    /// of work without producing anything a blocked core could observe.
+    Idle,
+    /// The operation budget ran out before the wake time; carries the
+    /// completion time of the next unprocessed operation.
+    OutOfBudget(Cycle),
+}
+
 /// Committed-write addresses remembered as chaos-burst victim
 /// candidates.
 const RECENT_WRITES_CAP: usize = 64;
@@ -157,6 +179,10 @@ struct Bank {
     /// while a later write to the same line may already have queued
     /// behind it, so an address can transiently hold two entries.
     wq_index: FxHashMap<LineAddr, u32>,
+    /// Entries of `write_q` whose static need still lacks a pre-read
+    /// ([`WqEntry::preread_open`]); the idle-slot PreRead search walks
+    /// the queue only while this is nonzero.
+    pr_open: usize,
     draining: bool,
     /// Writes left in the current burst.
     drain_left: usize,
@@ -200,21 +226,46 @@ impl Bank {
         })
     }
 
-    /// Index maintenance for a `write_q` push (front or back).
-    #[inline]
-    fn wq_note_push(&mut self, addr: LineAddr) {
-        *self.wq_index.entry(addr).or_insert(0) += 1;
+    /// Queues `entry` at the back (a new write) or the front (a
+    /// cancelled one going back), keeping the index and the open
+    /// pre-read count in step.
+    fn wq_push(&mut self, entry: WqEntry, front: bool) {
+        *self.wq_index.entry(entry.access.addr).or_insert(0) += 1;
+        self.pr_open += usize::from(entry.preread_open());
+        if front {
+            self.write_q.push_front(entry);
+        } else {
+            self.write_q.push_back(entry);
+        }
     }
 
-    /// Index maintenance for a `write_q` removal (pop or mid-queue).
-    #[inline]
-    fn wq_note_remove(&mut self, addr: LineAddr) {
+    /// Removes the entry at `pos` (0 pops the oldest), keeping the index
+    /// and the open pre-read count in step.
+    fn wq_remove(&mut self, pos: usize) -> Option<WqEntry> {
+        let entry = self.write_q.remove(pos)?;
+        let addr = entry.access.addr;
         match self.wq_index.get_mut(&addr) {
             Some(n) if *n > 1 => *n -= 1,
             Some(_) => {
                 self.wq_index.remove(&addr);
             }
             None => debug_assert!(false, "write-queue index lost {addr}"),
+        }
+        self.pr_open -= usize::from(entry.preread_open());
+        Some(entry)
+    }
+
+    /// Buffers an idle-slot pre-read of `side` into the oldest queued
+    /// write to `addr`, if it is still queued.
+    fn wq_preread_done(&mut self, addr: LineAddr, side: Side, data: Option<LineBuf>) {
+        if !self.wq_contains(addr) {
+            return;
+        }
+        if let Some(e) = self.write_q.iter_mut().find(|e| e.access.addr == addr) {
+            let was_open = e.preread_open();
+            e.pr_done[side.idx()] = true;
+            e.pr_buf[side.idx()] = data;
+            self.pr_open -= usize::from(was_open && !e.preread_open());
         }
     }
 }
@@ -359,38 +410,8 @@ struct Lane<'a, 's> {
     sh: &'a LaneShared<'a>,
     ls: &'a mut LaneState,
     store: &'a mut StoreLane<'s>,
-    done: &'a mut BinaryHeap<Due>,
+    done: &'a mut DueQueue,
 }
-
-/// A queued completion, ordered so the controller's max-heap pops the
-/// earliest `(at, id)` first.
-struct Due(Completion);
-
-impl Due {
-    fn key(&self) -> (Cycle, ReqId) {
-        (self.0.at, self.0.id)
-    }
-}
-
-impl Ord for Due {
-    fn cmp(&self, other: &Due) -> Ordering {
-        other.key().cmp(&self.key())
-    }
-}
-
-impl PartialOrd for Due {
-    fn partial_cmp(&self, other: &Due) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Due {
-    fn eq(&self, other: &Due) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for Due {}
 
 /// Clears from `patched` every cell of `line` that `job` still tracks
 /// as disturbed-but-unfixed: cells of queued corrections and ECP
@@ -443,12 +464,12 @@ impl Lane<'_, '_> {
     /// Queues a completion on the controller-wide queue: a read's when
     /// `data` is given, a write's otherwise.
     fn push_completion(&mut self, id: ReqId, at: Cycle, data: Option<LineBuf>) {
-        self.done.push(Due(Completion {
+        self.done.push(Completion {
             id,
             at,
             was_write: data.is_none(),
             data,
-        }));
+        });
     }
 
     /// Answers a read at `at` with `data`, whatever served it (salvage
@@ -509,13 +530,12 @@ impl Lane<'_, '_> {
                 return;
             }
         }
-        let mut entry = WqEntry::new(access);
+        let need = self.static_need(&access);
+        let mut entry = WqEntry::new(access, need);
         if self.sh.cfg.scheme.preread {
             self.forward_prereads(&mut entry);
         }
-        let addr = entry.access.addr;
-        self.ls.bank.write_q.push_back(entry);
-        self.ls.bank.wq_note_push(addr);
+        self.ls.bank.wq_push(entry, false);
         if self.ls.bank.write_q.len() >= self.sh.cfg.write_queue_cap {
             self.arm_drain();
         }
@@ -573,8 +593,7 @@ impl Lane<'_, '_> {
                 // bank back to reads (end-of-run flushes go all the way).
                 let b = &mut self.ls.bank;
                 if b.drain_left > 0 || b.flushing {
-                    if let Some(entry) = b.write_q.pop_front() {
-                        b.wq_note_remove(entry.access.addr);
+                    if let Some(entry) = b.wq_remove(0) {
                         b.drain_left = b.drain_left.saturating_sub(1);
                         self.start_write(entry, now);
                         return;
@@ -608,7 +627,7 @@ impl Lane<'_, '_> {
     }
 
     fn start_write(&mut self, entry: WqEntry, now: Cycle) {
-        let [up, down] = self.verify_need(&entry.access);
+        let [up, down] = self.verify_need(&entry);
         let job = WriteJob::new(entry, up, down, self.sh.cfg.scheme.own_line_verify);
         self.run_step(Box::new(job), now);
     }
@@ -629,29 +648,47 @@ impl Lane<'_, '_> {
         self.ls.bank.op = Some(BankOp::Write(job));
     }
 
-    /// Which neighbours of this write need verification, indexed by
-    /// [`Side::idx`]: scheme VnC off → none; otherwise the (n:m) policy
-    /// decides, and physically absent neighbours (bank edges) or
-    /// decommissioned ones (served from the salvage pool, nothing
-    /// architectural to protect) never need it.
-    fn verify_need(&self, access: &Access) -> [bool; 2] {
+    /// Which neighbours of a write may need verification, indexed by
+    /// [`Side::idx`], as far as it is fixed when the write is queued:
+    /// scheme VnC off → none; otherwise the (n:m) policy decides, and
+    /// physically absent neighbours (bank edges) never need it.
+    fn static_need(&self, access: &Access) -> [bool; 2] {
         if !self.sh.cfg.scheme.vnc {
             return [false, false];
         }
         let strip = self.sh.geometry.strip_of(access.addr);
         let need = self.sh.policy.need(access.ratio, strip);
         let nb = self.sh.geometry.bitline_neighbors(access.addr);
-        let live = |n: Option<LineAddr>| n.is_some_and(|n| !self.ls.salvaged.contains_key(&n));
-        [need.up && live(nb[0]), need.down && live(nb[1])]
+        [need.up && nb[0].is_some(), need.down && nb[1].is_some()]
+    }
+
+    /// Which neighbours of a queued write need verification now: its
+    /// static need minus decommissioned neighbours (served from the
+    /// salvage pool, nothing architectural to protect).
+    fn verify_need(&self, entry: &WqEntry) -> [bool; 2] {
+        let nb = self.sh.geometry.bitline_neighbors(entry.access.addr);
+        let live = |side: Side| {
+            entry.need[side.idx()]
+                && nb[side.idx()].is_some_and(|n| !self.ls.salvaged.contains_key(&n))
+        };
+        [live(Side::Up), live(Side::Down)]
     }
 
     fn try_issue_preread(&mut self, now: Cycle) -> bool {
         // Oldest queued write with an outstanding, needed pre-read. The
-        // scan only needs shared borrows, so the queue is walked in place
-        // rather than snapshotted.
+        // cached static need rules most entries out without a lookup;
+        // only a candidate rechecks the salvage pool. Pools only grow,
+        // so the static need covers the live one and the choice is the
+        // one a full re-derivation per entry would make.
+        if self.ls.bank.pr_open == 0 {
+            return false;
+        }
         let cap = self.sh.cfg.write_queue_cap;
         let target = self.ls.bank.write_q.iter().take(cap).find_map(|e| {
-            let need = self.verify_need(&e.access);
+            if !e.preread_open() {
+                return None;
+            }
+            let need = self.verify_need(e);
             Side::BOTH
                 .into_iter()
                 .find(|side| need[side.idx()] && !e.pr_done[side.idx()])
@@ -705,9 +742,7 @@ impl Lane<'_, '_> {
         match self.ls.bank.op.take() {
             Some(BankOp::Write(job)) => {
                 self.ls.stats.write_cancellations.inc();
-                let addr = job.entry.access.addr;
-                self.ls.bank.write_q.push_front(job.entry);
-                self.ls.bank.wq_note_push(addr);
+                self.ls.bank.wq_push(job.entry, true);
                 self.ls.bank.busy_until = now;
                 self.dispatch(now);
             }
@@ -786,18 +821,7 @@ impl Lane<'_, '_> {
                 self.ls.energy.charge_read(512, true);
                 let data = self.sh.geometry.bitline_neighbors(write_line)[side.idx()]
                     .map(|n| self.architectural_line(n));
-                if self.ls.bank.wq_contains(write_line) {
-                    if let Some(e) = self
-                        .ls
-                        .bank
-                        .write_q
-                        .iter_mut()
-                        .find(|e| e.access.addr == write_line)
-                    {
-                        e.pr_done[side.idx()] = true;
-                        e.pr_buf[side.idx()] = data;
-                    }
-                }
+                self.ls.bank.wq_preread_done(write_line, side, data);
                 self.ls.stats.prereads_issued.inc();
             }
             BankOp::Write(mut job) => {
@@ -1225,15 +1249,10 @@ impl Lane<'_, '_> {
         let removed = {
             let b = &mut self.ls.bank;
             if b.wq_contains(line) {
-                let e = b
-                    .write_q
+                b.write_q
                     .iter()
                     .position(|e| e.access.addr == line)
-                    .and_then(|pos| b.write_q.remove(pos));
-                if e.is_some() {
-                    b.wq_note_remove(line);
-                }
-                e
+                    .and_then(|pos| b.wq_remove(pos))
             } else {
                 None
             }
@@ -1370,19 +1389,14 @@ pub struct MemoryController {
     /// Recently committed write targets — the victim pool for chaos
     /// stuck-at bursts (bounded, deterministic order).
     recent_writes: VecDeque<LineAddr>,
-    /// Every queued completion, earliest `(at, id)` on top.
-    completions: BinaryHeap<Due>,
-    /// Cached earliest `busy_until` across occupied banks, serving the
-    /// `next_event` / `process_until` fast paths — those run once per
-    /// event-loop iteration (tens of millions of times per cell), almost
-    /// always with nothing due, and must not rescan 16 lanes each time.
-    /// Outer `None` = stale; every `&mut self` path that changes bank
-    /// occupancy resets it.
-    op_min: std::cell::Cell<Option<Option<Cycle>>>,
-    /// Whether lane work ran since the last anomaly sweep. Anomalies
-    /// can only be noted while a lane processes, so `take_anomaly`
-    /// skips its 16-lane scan on the (dominant) no-work polls.
-    anomaly_scan: bool,
+    /// Every queued completion, popped in `(at, id)` order.
+    completions: DueQueue,
+    /// When each occupied bank's operation completes; written only at
+    /// the exit of [`MemoryController::with_lane`].
+    calendar: BankCalendar,
+    /// Whether some lane holds an anomaly not yet surfaced, so
+    /// `take_anomaly` scans the lanes only when there is one to find.
+    anomaly_pending: bool,
 }
 
 impl std::fmt::Debug for MemoryController {
@@ -1452,9 +1466,9 @@ impl MemoryController {
             chaos_rng: rng,
             fault_log: Vec::new(),
             recent_writes: VecDeque::new(),
-            completions: BinaryHeap::new(),
-            op_min: std::cell::Cell::new(None),
-            anomaly_scan: false,
+            completions: DueQueue::default(),
+            calendar: BankCalendar::new(geometry.banks() as usize),
+            anomaly_pending: false,
         })
     }
 
@@ -1527,15 +1541,16 @@ impl MemoryController {
     }
 
     /// Test-only probe: asserts every bank's write-queue address index
-    /// equals an exact linear recount of its queue. The index is the
-    /// fast-path replacement for the old full-queue scans, so any drift
-    /// here silently changes forwarding/coalescing decisions; the
-    /// randomized equivalence test in `tests/controller_stress.rs` calls
-    /// this after every controller interaction.
+    /// and open pre-read count equal an exact linear recount of its
+    /// queue. Both replace full-queue scans on the fast path, so any
+    /// drift here silently changes forwarding, coalescing or PreRead
+    /// decisions; the randomized equivalence test in
+    /// `tests/controller_stress.rs` calls this after every controller
+    /// interaction.
     ///
     /// # Errors
     ///
-    /// Returns which bank diverged and both multisets on mismatch.
+    /// Returns which bank diverged and both values on mismatch.
     #[doc(hidden)]
     pub fn check_wq_index(&self) -> Result<(), String> {
         for (bi, l) in self.lanes.iter().enumerate() {
@@ -1548,6 +1563,13 @@ impl MemoryController {
                 return Err(format!(
                     "bank {bi}: wq_index {:?} != linear recount {:?}",
                     b.wq_index, recount
+                ));
+            }
+            let open = b.write_q.iter().filter(|e| e.preread_open()).count();
+            if open != b.pr_open {
+                return Err(format!(
+                    "bank {bi}: pr_open {} != linear recount {open}",
+                    b.pr_open
                 ));
             }
         }
@@ -1590,11 +1612,11 @@ impl MemoryController {
     /// Surfaces the first pending lane anomaly (in bank order),
     /// attaching the current queue state.
     fn take_anomaly(&mut self, now: Cycle) -> Result<(), CtrlError> {
-        if !self.anomaly_scan {
+        if !self.anomaly_pending {
             return Ok(());
         }
-        self.anomaly_scan = false;
         let what = self.lanes.iter_mut().find_map(|l| l.pending_anomaly.take());
+        self.anomaly_pending = self.lanes.iter().any(|l| l.pending_anomaly.is_some());
         match what {
             Some(what) => Err(CtrlError::InternalAnomaly {
                 what,
@@ -1608,6 +1630,10 @@ impl MemoryController {
     /// read-only context, its own `LaneState`, and its disjoint store
     /// slice — all split borrows of `self`, built here in one body so
     /// the borrow checker can see they never overlap.
+    ///
+    /// Every change to a bank's operation or `busy_until` happens inside
+    /// a lane, so the exit of this function is the one point that keeps
+    /// the bank calendar (and the pending-anomaly flag) current.
     fn with_lane<R>(&mut self, bank: usize, f: impl FnOnce(&mut Lane<'_, '_>) -> R) -> R {
         let sh = LaneShared {
             cfg: &self.cfg,
@@ -1626,7 +1652,12 @@ impl MemoryController {
             store: &mut store,
             done: &mut self.completions,
         };
-        f(&mut lane)
+        let r = f(&mut lane);
+        let ls = &self.lanes[bank];
+        self.calendar
+            .set(bank, ls.bank.op.as_ref().map(|_| ls.bank.busy_until));
+        self.anomaly_pending |= ls.pending_anomaly.is_some();
+        r
     }
 
     /// Like [`MemoryController::architectural_line`], but `addr` is a
@@ -1692,27 +1723,11 @@ impl MemoryController {
     /// forwarded read) becomes due.
     #[must_use]
     pub fn next_event(&self) -> Option<Cycle> {
-        let due = self.completions.peek().map(|d| d.0.at);
-        match (self.earliest_op(), due) {
+        let op = self.calendar.head().map(|(at, _)| at);
+        match (op, self.completions.next_due()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// The earliest `busy_until` across occupied banks, rescanned (and
-    /// re-cached) only after a mutation marked the cache stale.
-    fn earliest_op(&self) -> Option<Cycle> {
-        if let Some(m) = self.op_min.get() {
-            return m;
-        }
-        let m = self
-            .lanes
-            .iter()
-            .filter(|l| l.bank.op.is_some())
-            .map(|l| l.bank.busy_until)
-            .min();
-        self.op_min.set(Some(m));
-        m
     }
 
     /// Whether any queue or bank still holds work.
@@ -1734,8 +1749,6 @@ impl MemoryController {
             }
             self.with_lane(i, |lane| lane.dispatch(now));
         }
-        self.op_min.set(None);
-        self.anomaly_scan = true;
     }
 
     /// Hands a request to the controller.
@@ -1773,7 +1786,7 @@ impl MemoryController {
                 banks: self.lanes.len(),
             });
         }
-        self.process_until(now);
+        self.process_until(now, false, u64::MAX);
         self.with_lane(bank, |lane| {
             match access.kind {
                 AccessKind::Read => lane.submit_read(access, now),
@@ -1781,8 +1794,6 @@ impl MemoryController {
             }
             lane.dispatch(now);
         });
-        self.op_min.set(None);
-        self.anomaly_scan = true;
         Ok(())
     }
 
@@ -1871,7 +1882,7 @@ impl MemoryController {
         };
         if self.submit_physical(copy, now).is_err() {
             self.lanes[bank].note_anomaly("Start-Gap copy targeted an invalid address");
-            self.anomaly_scan = true;
+            self.anomaly_pending = true;
         }
     }
 
@@ -1899,49 +1910,87 @@ impl MemoryController {
     pub fn advance_into(&mut self, now: Cycle, out: &mut Vec<Completion>) -> Result<(), CtrlError> {
         let _t = prof::timer(Site::CtrlAdvance);
         out.clear();
-        self.process_until(now);
+        self.process_until(now, false, u64::MAX);
         self.take_anomaly(now)?;
-        while let Some(due) = self.completions.peek_mut() {
-            if due.0.at > now {
-                break;
-            }
-            out.push(PeekMut::pop(due).0);
+        while let Some(c) = self.completions.pop_due(now) {
+            out.push(c);
         }
         Ok(())
     }
 
-    /// Completes every bank operation due by `now` in global
-    /// `(busy_until, bank)` order, re-dispatching each bank after its
-    /// operation and handing its committed writes to the chaos harness
-    /// in between.
+    /// Runs the controller to the next time a front end can observe
+    /// something: `limit` (the front end's next issue time; `None` when
+    /// no core will issue before a read returns) or the earliest read
+    /// completion, whichever comes first. Bank operations up to that
+    /// time complete internally — write completions, write-job steps and
+    /// idle pre-reads wake no one — and every completion due by then is
+    /// moved into `out` (cleared first) in `(at, id)` order.
+    ///
+    /// Processing is the same [`MemoryController::advance_into`] does;
+    /// by cadence invariance a front end that calls this once per wake
+    /// sees exactly the completions and state it would see polling at
+    /// every [`MemoryController::next_event`]. Each processed operation
+    /// costs one unit of `budget`.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces any broken deep invariant as
+    /// [`CtrlError::InternalAnomaly`] with a queue snapshot attached.
+    pub fn run_until(
+        &mut self,
+        limit: Option<Cycle>,
+        budget: &mut u64,
+        out: &mut Vec<Completion>,
+    ) -> Result<Wake, CtrlError> {
+        let _t = prof::timer(Site::CtrlAdvance);
+        out.clear();
+        let (wake, ops) = self.process_until(limit.unwrap_or(Cycle::MAX), true, *budget);
+        *budget -= ops;
+        self.take_anomaly(wake)?;
+        if let Some((at, _)) = self.calendar.head().filter(|&(at, _)| at <= wake) {
+            return Ok(Wake::OutOfBudget(at));
+        }
+        if limit.is_none() && self.completions.next_read().is_none() {
+            return Ok(Wake::Idle);
+        }
+        while let Some(c) = self.completions.pop_due(wake) {
+            out.push(c);
+        }
+        Ok(Wake::At(wake))
+    }
+
+    /// Completes bank operations in global `(busy_until, bank)` order
+    /// while the calendar's head is due by `limit`, re-dispatching each
+    /// bank after its operation and handing its committed writes to the
+    /// chaos harness in between. With `wake_on_read`, `limit` shrinks to
+    /// the earliest queued read completion as reads complete. Stops
+    /// after `budget` operations; returns the final limit and the
+    /// number of operations processed.
     ///
     /// Bank lanes are mutually independent — every RNG draw is keyed by
     /// `(line, epoch)`, every accumulator is lane-local — so the order
     /// is unobservable to a run without a chaos plan; with one, it fixes
     /// the draw order of the scenario's shared victim selection.
-    fn process_until(&mut self, now: Cycle) {
-        // Cached fast path: no bank operation due (every submit and
-        // every event-loop poll lands here first).
-        if self.earliest_op().is_none_or(|m| m > now) {
-            return;
-        }
-        self.op_min.set(None);
-        self.anomaly_scan = true;
+    fn process_until(&mut self, mut limit: Cycle, wake_on_read: bool, budget: u64) -> (Cycle, u64) {
+        let mut ops = 0;
         loop {
-            let mut best: Option<(Cycle, usize)> = None;
-            for (i, l) in self.lanes.iter().enumerate() {
-                if l.bank.op.is_some()
-                    && l.bank.busy_until <= now
-                    && best.is_none_or(|(t, _)| l.bank.busy_until < t)
-                {
-                    best = Some((l.bank.busy_until, i));
+            if wake_on_read {
+                if let Some(r) = self.completions.next_read() {
+                    limit = limit.min(r);
                 }
             }
-            let Some((at, i)) = best else { break };
-            self.with_lane(i, |lane| lane.complete_op(at));
-            self.drain_commits(i, at);
-            self.with_lane(i, |lane| lane.dispatch(at));
+            let Some((at, bank)) = self.calendar.head() else {
+                break;
+            };
+            if at > limit || ops == budget {
+                break;
+            }
+            ops += 1;
+            self.with_lane(bank, |lane| lane.complete_op(at));
+            self.drain_commits(bank, at);
+            self.with_lane(bank, |lane| lane.dispatch(at));
         }
+        (limit, ops)
     }
 
     /// Hands a lane's freshly committed write addresses to the chaos
@@ -1982,6 +2031,7 @@ impl MemoryController {
                     // ChaosPlan::new validated the multiplier; reaching
                     // here means the plan was corrupted in flight.
                     self.lanes[0].note_anomaly("chaos storm multiplier went invalid");
+                    self.anomaly_pending = true;
                     return;
                 }
             }
@@ -2291,6 +2341,38 @@ mod tests {
         c.drain_all(Cycle(2000));
         let _ = run_until_idle(&mut c);
         assert_eq!(c.stats().phases.pre_reads, Cycle::ZERO);
+    }
+
+    #[test]
+    fn preread_skips_a_neighbour_decommissioned_after_queueing() {
+        // A write queues behind a demand read, so its static need (both
+        // neighbours) is cached before any idle slot opens. Returns the
+        // pre-reads issued and the entry's PreRead flags once the bank
+        // has gone idle.
+        let run = |decommission_up: bool| {
+            let mut c = ctrl(CtrlScheme::lazyc_preread());
+            let a = line(0, 10, 0);
+            c.submit(read(1, line(0, 40, 1), Cycle(0)), Cycle(0))
+                .unwrap();
+            c.submit(write(2, a, patterned(3), Cycle(1)), Cycle(1))
+                .unwrap();
+            assert_eq!(c.lanes[0].bank.write_q[0].need, [true, true]);
+            if decommission_up {
+                // Retire the upper neighbour into the salvage pool, as
+                // the degradation ladder does.
+                let up = c.geometry.bitline_neighbors(a)[0].unwrap();
+                let data = c.architectural_line(up);
+                c.lanes[0].salvaged.insert(up, data);
+            }
+            let _ = c.advance(Cycle(10_000)).unwrap();
+            assert!(c.lanes[0].bank.op.is_none(), "the bank must end idle");
+            (
+                c.stats().prereads_issued.get(),
+                c.lanes[0].bank.write_q[0].pr_done,
+            )
+        };
+        assert_eq!(run(false), (2, [true, true]));
+        assert_eq!(run(true), (1, [false, true]));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   repeated writes amplify WD.
 //!
 //! Robustness: the steady-state API ([`MemoryController::submit`] /
-//! [`MemoryController::advance`]) returns typed [`CtrlError`]s instead of
+//! [`MemoryController::advance`] / [`MemoryController::run_until`]) returns typed [`CtrlError`]s instead of
 //! panicking, ECP exhaustion under LazyCorrection degrades through a
 //! retry → escalate → decommission ladder, and a chaos scenario
 //! ([`sdpcm_wd::chaos`]) can be installed to stress all of it
@@ -35,9 +35,11 @@
 //! Organization: [`req`] (requests/completions), [`scheme`] (mechanism
 //! switches), [`stats`] (counters behind Figures 4, 5, 11–19),
 //! [`writejob`] (the multi-phase write state machine), [`error`] (typed
-//! errors + diagnostic snapshots), and [`ctrl`] (the controller: queues,
-//! banks, scheduling).
+//! errors + diagnostic snapshots), [`ctrl`] (the controller: queues,
+//! banks, scheduling), and the private `calendar` module (the bank
+//! calendar and the completion queue the controller's event core reads).
 
+mod calendar;
 pub mod ctrl;
 pub mod error;
 pub mod req;
@@ -46,7 +48,7 @@ pub mod stats;
 pub mod wearlevel;
 pub mod writejob;
 
-pub use ctrl::{CtrlConfig, MemoryController};
+pub use ctrl::{CtrlConfig, MemoryController, Wake};
 pub use error::{BankSnapshot, CtrlError, CtrlSnapshot};
 pub use req::{Access, AccessKind, Completion, ReqId};
 pub use scheme::CtrlScheme;

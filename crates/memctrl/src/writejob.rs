@@ -95,17 +95,33 @@ pub struct WqEntry {
     pub pr_done: [bool; 2],
     /// The buffered old data of the adjacent lines.
     pub pr_buf: [Option<LineBuf>; 2],
+    /// Which neighbours may need verification, fixed when the write is
+    /// queued: the scheme's VnC switch, the (n:m) policy for the line's
+    /// strip, and whether the neighbour exists. Decommissioning can
+    /// only remove a need later, never add one, so this is a superset
+    /// of the live need and lets the idle-slot PreRead search skip
+    /// entries without re-deriving it.
+    pub need: [bool; 2],
 }
 
 impl WqEntry {
-    /// Wraps a demand write with cleared PreRead state.
+    /// Wraps a demand write with cleared PreRead state and its static
+    /// verification need.
     #[must_use]
-    pub fn new(access: Access) -> WqEntry {
+    pub fn new(access: Access, need: [bool; 2]) -> WqEntry {
         WqEntry {
             access,
             pr_done: [false; 2],
             pr_buf: [None; 2],
+            need,
         }
+    }
+
+    /// Whether a side the static need covers still lacks its pre-read.
+    #[inline]
+    #[must_use]
+    pub fn preread_open(&self) -> bool {
+        (self.need[0] && !self.pr_done[0]) || (self.need[1] && !self.pr_done[1])
     }
 }
 
@@ -219,18 +235,21 @@ mod tests {
     use crate::req::{AccessKind, ReqId};
 
     fn entry() -> WqEntry {
-        WqEntry::new(Access {
-            id: ReqId(1),
-            addr: LineAddr {
-                bank: BankId(0),
-                row: RowId(5),
-                slot: 3,
+        WqEntry::new(
+            Access {
+                id: ReqId(1),
+                addr: LineAddr {
+                    bank: BankId(0),
+                    row: RowId(5),
+                    slot: 3,
+                },
+                kind: AccessKind::Write(LineBuf::zeroed()),
+                ratio: NmRatio::one_one(),
+                core: 0,
+                arrive: Cycle(0),
             },
-            kind: AccessKind::Write(LineBuf::zeroed()),
-            ratio: NmRatio::one_one(),
-            core: 0,
-            arrive: Cycle(0),
-        })
+            [true, true],
+        )
     }
 
     fn line(row: u32) -> LineAddr {

@@ -16,7 +16,8 @@
 //! (baseline) and 0xe88236832b4cb32a (LazyC+PreRead).
 
 use sdpcm_core::hiersim::{HierarchyParams, HierarchySim};
-use sdpcm_core::{ExperimentParams, Scheme, SystemSim};
+use sdpcm_core::{ExperimentParams, FaultPlan, Scheme, SystemSim};
+use sdpcm_memctrl::CtrlScheme;
 use sdpcm_trace::BenchKind;
 
 #[test]
@@ -80,4 +81,78 @@ fn hierarchy_content_digests_match_pinned_goldens() {
         assert_eq!(sim.pcm_traffic(), traffic, "{name}");
         assert_eq!(stats.total_cycles, cycles, "{name}");
     }
+}
+
+/// The mechanism paths the two probes above skip: DIN without VnC,
+/// write cancellation, write pausing, Start-Gap, and an installed fault
+/// plan. Each is pinned by content digest, committed writes and
+/// `total_cycles`; the fault-plan cell also pins how many faults fired.
+/// These pin the event core itself: any change to how the controller
+/// orders or batches bank operations that is not result-neutral fails
+/// here.
+#[test]
+fn mechanism_paths_match_pinned_goldens() {
+    let params = ExperimentParams {
+        refs_per_core: 400,
+        ..ExperimentParams::quick_test()
+    };
+    let with_ctrl = |name: &str, base: Scheme, ctrl: fn(CtrlScheme) -> CtrlScheme| Scheme {
+        name: name.to_owned(),
+        ctrl: ctrl(base.ctrl),
+        ..base
+    };
+    let plan = || {
+        FaultPlan::new()
+            .storm(50, 1.5, 400)
+            .stuck_burst(100, 3, 2)
+            .aging_ramp(200, 0.5)
+    };
+    let wc = with_ctrl(
+        "LazyC+WC",
+        Scheme::lazyc(),
+        CtrlScheme::with_write_cancellation,
+    );
+    let wp = with_ctrl("LazyC+WP", Scheme::lazyc(), CtrlScheme::with_write_pausing);
+    let sg = with_ctrl("LazyC+PreRead+SG", Scheme::lazyc_preread(), |c| {
+        c.with_start_gap(8)
+    });
+    // (scheme, fault plan installed, content digest, writes, cycles, faults fired)
+    let golden: [(Scheme, bool, u64, u64, u64, usize); 5] = [
+        (Scheme::din(), false, 0x7e927d70f6a0465f, 1477, 548_916, 0),
+        (wc, false, 0xa9c2762e21858575, 1477, 476_148, 0),
+        (wp, false, 0xa9c2762e21858575, 1477, 458_020, 0),
+        (sg, false, 0xdc166fab2055b5d8, 1653, 898_376, 0),
+        (
+            Scheme::lazyc_preread(),
+            true,
+            0x617aa2641e68d133,
+            1477,
+            844_184,
+            4,
+        ),
+    ];
+    let mut reached = [0u64; 3];
+    for (scheme, chaos, digest, writes, cycles, faults) in golden {
+        let mut sim = SystemSim::build(&scheme, BenchKind::Mcf, &params).unwrap();
+        if chaos {
+            sim.install_fault_plan(plan()).unwrap();
+        }
+        let stats = sim.run().unwrap();
+        let name = format!("{}{}", scheme.name, if chaos { "+chaos" } else { "" });
+        assert_eq!(
+            sim.controller().store().content_digest(),
+            digest,
+            "{name}: content digest moved (see module docs)"
+        );
+        assert_eq!(stats.ctrl.writes.get(), writes, "{name}");
+        assert_eq!(stats.total_cycles, cycles, "{name}");
+        assert_eq!(sim.controller().fault_log().len(), faults, "{name}");
+        reached[0] += stats.ctrl.write_cancellations.get();
+        reached[1] += stats.ctrl.write_pauses.get();
+        reached[2] += stats.ctrl.gap_moves.get();
+    }
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "cancellations, pauses and gap moves must all occur: {reached:?}"
+    );
 }

@@ -13,7 +13,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sdpcm::engine::{Cycle, SimRng};
-use sdpcm::memctrl::{Access, AccessKind, CtrlConfig, CtrlScheme, MemoryController, ReqId};
+use sdpcm::memctrl::{
+    Access, AccessKind, CtrlConfig, CtrlScheme, CtrlStats, MemoryController, ReqId, Wake,
+};
 use sdpcm::osalloc::NmRatio;
 use sdpcm::pcm::geometry::{BankId, LineAddr, MemGeometry, RowId};
 use sdpcm::pcm::line::LineBuf;
@@ -81,6 +83,22 @@ fn scheme_strategy() -> impl Strategy<Value = SchemeChoice> {
         )
 }
 
+/// The controller configuration a [`SchemeChoice`] describes, with
+/// Start-Gap at `start_gap_psi` when given.
+fn ctrl_config(choice: &SchemeChoice, start_gap_psi: Option<u32>) -> CtrlConfig {
+    let mut scheme = CtrlScheme::baseline_vnc();
+    scheme.lazy_correction = choice.lazyc;
+    scheme.preread = choice.preread;
+    scheme.write_cancellation = choice.cancel;
+    scheme.write_pausing = choice.pause;
+    scheme.start_gap_psi = start_gap_psi;
+    CtrlConfig {
+        write_queue_cap: choice.queue_cap,
+        ecp_entries: choice.ecp_entries,
+        ..CtrlConfig::table2(scheme)
+    }
+}
+
 fn flip(data: &mut LineBuf, seed: u64) {
     let mut x = seed | 1;
     for _ in 0..48 {
@@ -102,16 +120,7 @@ fn unprotectable(ctrl: &MemoryController, addr: LineAddr) -> bool {
 }
 
 fn run_schedule(choice: &SchemeChoice, ops: &[Op]) -> Result<(), String> {
-    let mut scheme = CtrlScheme::baseline_vnc();
-    scheme.lazy_correction = choice.lazyc;
-    scheme.preread = choice.preread;
-    scheme.write_cancellation = choice.cancel;
-    scheme.write_pausing = choice.pause;
-    let cfg = CtrlConfig {
-        write_queue_cap: choice.queue_cap,
-        ecp_entries: choice.ecp_entries,
-        ..CtrlConfig::table2(scheme)
-    };
+    let cfg = ctrl_config(choice, None);
     let mut ctrl = MemoryController::new(
         cfg,
         MemGeometry::small(64),
@@ -266,6 +275,16 @@ fn plan_strategy() -> impl Strategy<Value = PlanChoice> {
         )
 }
 
+fn install_plan(ctrl: &mut MemoryController, plan: &PlanChoice) {
+    let mut fp = sdpcm::core::FaultPlan::new()
+        .storm(plan.storm_at, plan.storm_mult, plan.storm_len)
+        .stuck_burst(plan.burst_at, plan.burst_lines, plan.burst_cells);
+    if let Some(age) = plan.age {
+        fp = fp.aging_ramp(plan.burst_at + 20, age);
+    }
+    ctrl.install_chaos(fp.build().expect("generated plans are valid"));
+}
+
 fn run_with_plan(
     choice: &SchemeChoice,
     plan: &PlanChoice,
@@ -275,28 +294,13 @@ fn run_with_plan(
     Vec<sdpcm::wd::chaos::FaultEvent>,
     u64,
 ) {
-    let mut scheme = CtrlScheme::baseline_vnc();
-    scheme.lazy_correction = choice.lazyc;
-    scheme.preread = choice.preread;
-    scheme.write_cancellation = choice.cancel;
-    scheme.write_pausing = choice.pause;
-    let cfg = CtrlConfig {
-        write_queue_cap: choice.queue_cap,
-        ecp_entries: choice.ecp_entries,
-        ..CtrlConfig::table2(scheme)
-    };
+    let cfg = ctrl_config(choice, None);
     let mut ctrl = MemoryController::new(
         cfg,
         MemGeometry::small(64),
         SimRng::from_seed_label(97, "stress"),
     );
-    let mut fp = sdpcm::core::FaultPlan::new()
-        .storm(plan.storm_at, plan.storm_mult, plan.storm_len)
-        .stuck_burst(plan.burst_at, plan.burst_lines, plan.burst_cells);
-    if let Some(age) = plan.age {
-        fp = fp.aging_ramp(plan.burst_at + 20, age);
-    }
-    ctrl.install_chaos(fp.build().expect("generated plans are valid"));
+    install_plan(&mut ctrl, plan);
 
     let mut now = Cycle::ZERO;
     for (i, op) in ops.iter().enumerate() {
@@ -361,16 +365,7 @@ proptest! {
 /// O(1) fast path added for forwarding/coalescing/cancellation checks)
 /// is exactly the multiset a linear scan of the queue would produce.
 fn run_index_audit(choice: &SchemeChoice, ops: &[Op]) -> Result<(), String> {
-    let mut scheme = CtrlScheme::baseline_vnc();
-    scheme.lazy_correction = choice.lazyc;
-    scheme.preread = choice.preread;
-    scheme.write_cancellation = choice.cancel;
-    scheme.write_pausing = choice.pause;
-    let cfg = CtrlConfig {
-        write_queue_cap: choice.queue_cap,
-        ecp_entries: choice.ecp_entries,
-        ..CtrlConfig::table2(scheme)
-    };
+    let cfg = ctrl_config(choice, None);
     let mut ctrl = MemoryController::new(
         cfg,
         MemGeometry::small(64),
@@ -461,4 +456,172 @@ fn kitchen_sink_scheme_long_schedule() {
         })
         .collect();
     run_schedule(&choice, &ops).expect("kitchen-sink schedule stays consistent");
+}
+
+/// How often a driver asks the controller to advance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cadence {
+    /// Poll at every `next_event` up to each submit time.
+    EveryEvent,
+    /// `run_until` with the next submit time as the limit; the wakes in
+    /// between are read completions.
+    RunUntil,
+    /// Advance only at submit times.
+    SubmitTimes,
+}
+
+/// Everything a run can observe, for cadence comparisons.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    completions: Vec<(ReqId, Cycle, Option<LineBuf>)>,
+    stats: CtrlStats,
+    energy: sdpcm::pcm::energy::EnergyMeter,
+    wear: sdpcm::pcm::wear::WearMeter,
+    faults: Vec<sdpcm::wd::chaos::FaultEvent>,
+    digest: u64,
+}
+
+/// Drives an open-loop schedule (requests arrive at fixed times whatever
+/// the controller does) at the given cadence, then flushes with the
+/// usual event-driven drain.
+fn run_cadence(
+    choice: &SchemeChoice,
+    start_gap_psi: Option<u32>,
+    plan: Option<&PlanChoice>,
+    ops: &[Op],
+    cadence: Cadence,
+) -> Outcome {
+    let mut ctrl = MemoryController::new(
+        ctrl_config(choice, start_gap_psi),
+        MemGeometry::small(64),
+        SimRng::from_seed_label(53, "cadence"),
+    );
+    if choice.aged {
+        ctrl.set_dimm_age(sdpcm::pcm::wear::HardErrorModel::default(), 0.9);
+    }
+    if let Some(plan) = plan {
+        install_plan(&mut ctrl, plan);
+    }
+    let mut completions = Vec::new();
+    let mut record = |done: &[sdpcm::memctrl::Completion]| {
+        completions.extend(done.iter().map(|c| (c.id, c.at, c.data)));
+    };
+    let mut scratch = Vec::new();
+    let mut now = Cycle::ZERO;
+    for (i, op) in ops.iter().enumerate() {
+        now += Cycle(op.gap);
+        match cadence {
+            Cadence::EveryEvent => {
+                while let Some(t) = ctrl.next_event().filter(|&t| t <= now) {
+                    record(&ctrl.advance(t).unwrap());
+                }
+            }
+            Cadence::RunUntil => loop {
+                let mut budget = u64::MAX;
+                let wake = ctrl.run_until(Some(now), &mut budget, &mut scratch);
+                record(&scratch);
+                match wake.unwrap() {
+                    Wake::At(t) if t == now => break,
+                    Wake::At(t) => assert!(t < now, "woke past the limit"),
+                    other => panic!("a limited run cannot stop with {other:?}"),
+                }
+            },
+            Cadence::SubmitTimes => record(&ctrl.advance(now).unwrap()),
+        }
+        let addr = LineAddr {
+            bank: BankId(op.bank),
+            row: RowId(op.row),
+            slot: op.slot,
+        };
+        let kind = if op.is_write {
+            let mut data = ctrl.store().initial_line(addr);
+            flip(&mut data, op.flip_seed);
+            AccessKind::Write(data)
+        } else {
+            AccessKind::Read
+        };
+        ctrl.submit(
+            Access {
+                id: ReqId(i as u64),
+                addr,
+                kind,
+                ratio: NmRatio::one_one(),
+                core: 0,
+                arrive: now,
+            },
+            now,
+        )
+        .unwrap();
+    }
+    ctrl.drain_all(now);
+    while let Some(t) = ctrl.next_event() {
+        record(&ctrl.advance(t).unwrap());
+        ctrl.drain_all(t);
+    }
+    Outcome {
+        completions,
+        stats: ctrl.stats(),
+        energy: ctrl.energy(),
+        wear: ctrl.store().wear(),
+        faults: ctrl.fault_log().to_vec(),
+        digest: ctrl.store().content_digest(),
+    }
+}
+
+/// Replay property 1 (DESIGN.md), checked directly: however often the
+/// controller is asked to advance, it completes the same operations in
+/// the same order and hands out the same completions.
+fn check_cadence_invariance(
+    choice: &SchemeChoice,
+    start_gap_psi: Option<u32>,
+    plan: Option<&PlanChoice>,
+    ops: &[Op],
+) {
+    let every = run_cadence(choice, start_gap_psi, plan, ops, Cadence::EveryEvent);
+    for cadence in [Cadence::RunUntil, Cadence::SubmitTimes] {
+        let other = run_cadence(choice, start_gap_psi, plan, ops, cadence);
+        assert_eq!(
+            every, other,
+            "{cadence:?} diverged from EveryEvent under {choice:?}, psi {start_gap_psi:?}, {plan:?}"
+        );
+    }
+}
+
+fn start_gap_strategy() -> impl Strategy<Value = Option<u32>> {
+    prop::sample::select(vec![0u32, 4, 16]).prop_map(|psi| (psi > 0).then_some(psi))
+}
+
+fn maybe_plan_strategy() -> impl Strategy<Value = Option<PlanChoice>> {
+    (any::<bool>(), plan_strategy()).prop_map(|(on, plan)| on.then_some(plan))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn advance_cadence_is_unobservable(
+        choice in scheme_strategy(),
+        psi in start_gap_strategy(),
+        plan in maybe_plan_strategy(),
+        ops in vec(op_strategy(), 50..250),
+    ) {
+        check_cadence_invariance(&choice, psi, plan.as_ref(), &ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Release-mode soak of the cadence property over long schedules:
+    /// `cargo test --release --test controller_stress -- --ignored`.
+    #[test]
+    #[ignore = "soak; run in release with --ignored"]
+    fn advance_cadence_soak(
+        choice in scheme_strategy(),
+        psi in start_gap_strategy(),
+        plan in maybe_plan_strategy(),
+        ops in vec(op_strategy(), 500..1_500),
+    ) {
+        check_cadence_invariance(&choice, psi, plan.as_ref(), &ops);
+    }
 }
