@@ -6,11 +6,10 @@
 //! memory. Everything behind that point lives here, once: the per-core
 //! page tables filled by the WD-aware allocator, translation (the
 //! page-table entry carries the `(n:m)` allocator tag to the controller,
-//! Figure 9), write payload synthesis, the in-flight read map, the demand
-//! traffic counters, the event loop and the end-of-run flush. A front end
-//! plugs its cores in through [`Cores`].
+//! Figure 9), write payload synthesis, the demand traffic counters, the
+//! event loop and the end of the run. A front end plugs its cores in
+//! through [`Cores`].
 
-use sdpcm_engine::hash::FxHashMap;
 use sdpcm_engine::prof::{self, Site};
 use sdpcm_engine::{Cycle, SimRng};
 use sdpcm_memctrl::{Access, AccessKind, Completion, MemoryController, ReqId, Wake};
@@ -41,6 +40,10 @@ pub(crate) trait Cores {
     fn issue_ready(&mut self, be: &mut Backend, now: Cycle) -> Result<(), SdpcmError>;
     /// References retired so far (reported on livelock).
     fn progress(&self) -> u64;
+    /// The run's execution time: when the last core retired.
+    fn total_cycles(&self) -> u64;
+    /// Instructions retired across all cores.
+    fn instructions(&self) -> u64;
 }
 
 /// A translated reference: the device line and the allocator tag its
@@ -55,8 +58,6 @@ pub(crate) struct Target {
 pub(crate) struct Backend {
     ctrl: MemoryController,
     tables: Vec<PageTable>,
-    /// Outstanding reads and the core blocked on each.
-    inflight: FxHashMap<ReqId, usize>,
     /// Reusable completion buffer for the event loop.
     done_scratch: Vec<Completion>,
     next_id: u64,
@@ -99,7 +100,6 @@ impl Backend {
         let be = Backend {
             ctrl,
             tables,
-            inflight: FxHashMap::default(),
             done_scratch: Vec::new(),
             next_id: 0,
             reads: 0,
@@ -140,13 +140,11 @@ impl Backend {
         })
     }
 
-    /// Submits a demand read at `at` and registers `core` as blocked on
-    /// it; [`Backend::run`] hands the completion to [`Cores::read_done`].
+    /// Submits a demand read at `at` for `core`; [`Backend::run`] hands
+    /// its completion to [`Cores::read_done`].
     pub(crate) fn read(&mut self, core: usize, to: Target, at: Cycle) -> Result<(), SdpcmError> {
         self.reads += 1;
-        let id = self.submit(core, to, AccessKind::Read, at)?;
-        self.inflight.insert(id, core);
-        Ok(())
+        self.submit(core, to, AccessKind::Read, at)
     }
 
     /// Posts a write at `at` whose payload is the line's newest
@@ -166,8 +164,7 @@ impl Backend {
         }
         self.writes += 1;
         let data = LineBuf::from_words(words);
-        self.submit(core, to, AccessKind::Write(data), at)?;
-        Ok(())
+        self.submit(core, to, AccessKind::Write(data), at)
     }
 
     /// Hands one access to the controller under a fresh request id.
@@ -177,7 +174,7 @@ impl Backend {
         to: Target,
         kind: AccessKind,
         at: Cycle,
-    ) -> Result<ReqId, SdpcmError> {
+    ) -> Result<(), SdpcmError> {
         let id = ReqId(self.next_id);
         self.next_id += 1;
         let access = Access {
@@ -189,21 +186,48 @@ impl Backend {
             arrive: at,
         };
         self.ctrl.submit(access, at)?;
-        Ok(id)
+        Ok(())
     }
 
-    /// Runs the event loop until every core has retired: run the
+    /// Runs the event loop until every core has retired — run the
     /// controller to the next time a core can observe something (its
     /// next issue, or a read completion that may unblock one), unblock
-    /// cores whose reads completed, then let ready cores act.
+    /// cores whose reads completed, then let ready cores act — and
+    /// reports the run's statistics under `scheme` and `workload`.
+    ///
+    /// The run ends with one [`MemoryController::flush`], so per-write
+    /// statistics cover the full reference stream; it is not counted
+    /// toward execution time, and its completions wake no core. The
+    /// flush starts at the controller's next event, or at the last
+    /// finish when the controller is idle. That start is unobservable
+    /// without a chaos plan (see `flush`), so both front ends share it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Livelock`] (with the controller's queue
     /// snapshot) when the loop stops making progress, and propagates
     /// controller and translation errors.
-    pub(crate) fn run<C: Cores>(&mut self, cores: &mut C) -> Result<(), SdpcmError> {
-        self.run_within(cores, LOOP_BUDGET)
+    pub(crate) fn run<C: Cores>(
+        &mut self,
+        cores: &mut C,
+        scheme: &str,
+        workload: &str,
+    ) -> Result<RunStats, SdpcmError> {
+        self.run_within(cores, LOOP_BUDGET)?;
+        let total_cycles = cores.total_cycles();
+        let start = self.ctrl.next_event().unwrap_or(Cycle(total_cycles));
+        self.ctrl.flush(start, &mut self.done_scratch)?;
+        Ok(RunStats {
+            scheme: scheme.to_owned(),
+            workload: workload.to_owned(),
+            total_cycles,
+            instructions: cores.instructions(),
+            reads: self.reads,
+            writes: self.writes,
+            ctrl: self.ctrl.stats(),
+            wear: self.ctrl.store().wear(),
+            energy: self.ctrl.energy(),
+        })
     }
 
     /// [`Backend::run`] with an explicit livelock budget, spent one unit
@@ -229,49 +253,13 @@ impl Backend {
                 Wake::OutOfBudget(at) => return Err(self.livelock(at, cores.progress())),
             };
             for done in &self.done_scratch {
-                if done.was_write {
-                    continue;
-                }
-                if let Some(core) = self.inflight.remove(&done.id) {
-                    cores.read_done(core, done.at);
+                if !done.was_write {
+                    cores.read_done(usize::from(done.core), done.at);
                 }
             }
             cores.issue_ready(self, now)?;
         }
         Ok(())
-    }
-
-    /// Drains every queued write from `start` on, so per-write statistics
-    /// cover the full reference stream. Not counted toward execution
-    /// time; completions are dropped.
-    pub(crate) fn flush(&mut self, start: Cycle) -> Result<(), SdpcmError> {
-        self.ctrl.drain_all(start);
-        while let Some(t) = self.ctrl.next_event() {
-            self.ctrl.advance_into(t, &mut self.done_scratch)?;
-            self.ctrl.drain_all(t);
-        }
-        Ok(())
-    }
-
-    /// The run's statistics; the demand counters are the backend's own.
-    pub(crate) fn stats(
-        &self,
-        scheme: &str,
-        workload: String,
-        total_cycles: u64,
-        instructions: u64,
-    ) -> RunStats {
-        RunStats {
-            scheme: scheme.to_owned(),
-            workload,
-            total_cycles,
-            instructions,
-            reads: self.reads,
-            writes: self.writes,
-            ctrl: self.ctrl.stats(),
-            wear: self.ctrl.store().wear(),
-            energy: self.ctrl.energy(),
-        }
     }
 
     /// The livelock report with the controller's queue snapshot.
@@ -316,6 +304,14 @@ mod tests {
         fn progress(&self) -> u64 {
             7
         }
+
+        fn total_cycles(&self) -> u64 {
+            0
+        }
+
+        fn instructions(&self) -> u64 {
+            0
+        }
     }
 
     fn backend() -> Backend {
@@ -342,22 +338,23 @@ mod tests {
 
     #[test]
     fn blocked_cores_over_an_idle_controller_livelock() {
-        let (cycle, refs_done, snapshot) = livelock(backend().run(&mut Stuck).unwrap_err());
+        let err = backend().run(&mut Stuck, "stuck", "stuck");
+        let (cycle, refs_done, snapshot) = livelock(err.unwrap_err());
         assert_eq!((cycle, refs_done), (u64::MAX, 7));
         assert_eq!(snapshot.in_flight, 0);
     }
 
     #[test]
     fn controller_work_counts_against_the_livelock_budget() {
-        // Queued writes keep the controller busy, but none of their bank
-        // operations can wake the blocked cores: the budget, not the
-        // controller running dry, must end the loop.
+        // A full write queue keeps the controller busy draining, but none
+        // of its bank operations can wake the blocked cores: the budget,
+        // not the controller running dry, must end the loop.
         let mut be = backend();
-        for vpage in 0..8 {
-            let to = be.translate(0, vpage, 0).unwrap();
+        let cap = be.controller().config().write_queue_cap;
+        for slot in 0..cap {
+            let to = be.translate(0, 0, slot as u8).unwrap();
             be.write(0, to, &[u64::MAX; 8], Cycle(0)).unwrap();
         }
-        be.controller_mut().drain_all(Cycle(0));
         let (cycle, refs_done, snapshot) = livelock(be.run_within(&mut Stuck, 4).unwrap_err());
         assert_ne!(cycle, u64::MAX, "must stop on the budget, not on idleness");
         assert_eq!(refs_done, 7);

@@ -6,7 +6,7 @@
 //! loads/stores, the Table 2 hierarchy filters them, and only L3 misses
 //! and dirty L3 evictions reach PCM. Useful when the question is how a
 //! cache configuration changes the PCM-level traffic mix (the figures do
-//! not need it; `examples/hierarchy_mode.rs` shows the raw plumbing).
+//! not need it; `examples/hierarchy_mode.rs` runs [`HierarchySim`]).
 //!
 //! Modelling notes: cores are in-order and blocking — a load stalls the
 //! core through the hierarchy latency plus, on an L3 miss, the PCM read;
@@ -211,26 +211,8 @@ impl HierarchySim {
     /// event loop stops making progress, and propagates controller and
     /// translation errors.
     pub fn run(&mut self) -> Result<RunStats, SdpcmError> {
-        self.be.run(&mut self.cores)?;
-        // The flush starts at the last finish, where `SystemSim` starts at
-        // the next controller event; unifying the two would move these
-        // results.
-        let total_cycles = self
-            .cores
-            .cores
-            .iter()
-            .filter_map(|c| c.finish)
-            .map(|c| c.0)
-            .max()
-            .unwrap_or(0);
-        self.be.flush(Cycle(total_cycles))?;
-        let instructions = self.cores.cores.iter().map(|c| c.instructions).sum();
-        Ok(self.be.stats(
-            &self.scheme.name,
-            format!("{}(hier)", self.workload_name),
-            total_cycles,
-            instructions,
-        ))
+        let workload = format!("{}(hier)", self.workload_name);
+        self.be.run(&mut self.cores, &self.scheme.name, &workload)
     }
 }
 
@@ -385,6 +367,19 @@ impl Cores for CacheCores {
 
     fn progress(&self) -> u64 {
         self.cores.iter().map(|c| c.accesses_done).sum()
+    }
+
+    fn total_cycles(&self) -> u64 {
+        self.cores
+            .iter()
+            .filter_map(|c| c.finish)
+            .map(|c| c.0)
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn instructions(&self) -> u64 {
+        self.cores.iter().map(|c| c.instructions).sum()
     }
 }
 

@@ -34,8 +34,11 @@
 //! page tables filled by the WD-aware OS allocator (each entry carries
 //! the `(n:m)` tag to the controller), one submit path that synthesizes
 //! write payloads, the cycle-level memory controller, and one event loop
-//! with its end-of-run flush. The front ends differ only in their cores
-//! and where the flush starts.
+//! that ends every run with one flush under one rule: it starts at the
+//! controller's next event, or at the last finish when the controller is
+//! idle. The start only moves banks that sit idle with queued writes,
+//! which hold no reads, so no result depends on it. The front ends
+//! differ only in their cores.
 //!
 //! # Examples
 //!

@@ -173,37 +173,12 @@ impl SystemSim {
     /// snapshot) when the event loop stops making progress, and
     /// propagates controller and translation errors.
     pub fn run(&mut self) -> Result<RunStats, SdpcmError> {
-        self.be.run(&mut self.cores)?;
-        // The flush starts at the next controller event, or at the last
-        // finish when the controller is idle. `HierarchySim` starts at
-        // the last finish; unifying the two would move its results.
-        let total_cycles = self.cores.total_cycles();
-        let start = self
-            .be
-            .controller()
-            .next_event()
-            .unwrap_or(Cycle(total_cycles));
-        self.be.flush(start)?;
-        let instructions = self.cores.cores.iter().map(|c| c.instructions).sum();
-        Ok(self.be.stats(
-            &self.scheme.name,
-            self.workload_name.clone(),
-            total_cycles,
-            instructions,
-        ))
+        self.be
+            .run(&mut self.cores, &self.scheme.name, &self.workload_name)
     }
 }
 
 impl TraceCores {
-    fn total_cycles(&self) -> u64 {
-        self.cores
-            .iter()
-            .filter_map(|c| c.finish)
-            .map(|c| c.0)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Issues the pending reference of `core` at time `now`.
     fn issue(&mut self, be: &mut Backend, core: usize, now: Cycle) -> Result<(), SdpcmError> {
         let Some((r, _)) = self.cores[core].pending.take() else {
@@ -281,6 +256,19 @@ impl Cores for TraceCores {
 
     fn progress(&self) -> u64 {
         self.cores.iter().map(|c| c.refs_done).sum()
+    }
+
+    fn total_cycles(&self) -> u64 {
+        self.cores
+            .iter()
+            .filter_map(|c| c.finish)
+            .map(|c| c.0)
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn instructions(&self) -> u64 {
+        self.cores.iter().map(|c| c.instructions).sum()
     }
 }
 

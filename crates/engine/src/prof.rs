@@ -54,10 +54,10 @@ pub enum Site {
     HierStep,
     /// `MemoryController::submit`.
     CtrlSubmit,
-    /// `MemoryController::run_until` (one probe per front-end wake: the
-    /// bank operations it completes internally are counted in its time,
-    /// not in its calls) and `advance`/`advance_into` (one per call,
-    /// e.g. per end-of-run flush step).
+    /// `MemoryController::run_until` (one probe per front-end wake),
+    /// `flush` (one per run with work left) and `advance` (one per
+    /// call). The bank operations they complete internally count in
+    /// their time, not in their calls.
     CtrlAdvance,
     /// VnC verification reads resolved against the device.
     CtrlVerify,

@@ -179,6 +179,7 @@ mod tests {
     fn completion(id: u64, at: u64, was_write: bool) -> Completion {
         Completion {
             id: ReqId(id),
+            core: 0,
             at: Cycle(at),
             was_write,
             data: (!was_write).then(sdpcm_pcm::line::LineBuf::zeroed),

@@ -1,15 +1,16 @@
 //! The memory controller: queues, bank scheduling, and the VnC engine.
 //!
-//! Event-driven: the system calls [`MemoryController::submit`] to hand in
-//! requests and [`MemoryController::run_until`] to run the banks to the
+//! Event-driven, through three calls: [`MemoryController::submit`] hands
+//! in a request; [`MemoryController::run_until`] runs the banks to the
 //! next time a core can observe something — its own next issue time or
-//! the earliest read completion — collecting the completions due then.
-//! Write completions, write-job steps and idle pre-reads complete inside
-//! that call and wake no one. [`MemoryController::next_event`] (the
+//! the earliest read completion — collecting the completions due then;
+//! [`MemoryController::flush`] ends the run, draining every write queue
+//! and handing out every remaining completion in one call. Write
+//! completions, write-job steps and idle pre-reads complete inside
+//! those calls and wake no one. [`MemoryController::next_event`] (the
 //! earliest bank operation or queued completion of any kind) and
 //! [`MemoryController::advance`] (process up to a given time) remain for
-//! callers that step the controller themselves, such as the end-of-run
-//! flush.
+//! drivers that poll the controller at their own times.
 //!
 //! Every run walks one event path: bank operations complete in global
 //! `(busy_until, bank)` order, read off a per-bank calendar whose head
@@ -463,9 +464,10 @@ impl Lane<'_, '_> {
 
     /// Queues a completion on the controller-wide queue: a read's when
     /// `data` is given, a write's otherwise.
-    fn push_completion(&mut self, id: ReqId, at: Cycle, data: Option<LineBuf>) {
+    fn push_completion(&mut self, access: &Access, at: Cycle, data: Option<LineBuf>) {
         self.done.push(Completion {
-            id,
+            id: access.id,
+            core: access.core,
             at,
             was_write: data.is_none(),
             data,
@@ -481,7 +483,7 @@ impl Lane<'_, '_> {
             .stats
             .read_latency_sketch
             .record((at - access.arrive).0);
-        self.push_completion(access.id, at, Some(data));
+        self.push_completion(access, at, Some(data));
     }
 
     // ----- submission -----
@@ -513,7 +515,7 @@ impl Lane<'_, '_> {
         if let Some(buf) = self.ls.salvaged.get_mut(&access.addr) {
             *buf = data;
             self.ls.stats.salvaged_writes.inc();
-            self.push_completion(access.id, now + self.sh.cfg.forward_latency, None);
+            self.push_completion(&access, now + self.sh.cfg.forward_latency, None);
             return;
         }
         // Coalesce with a queued write to the same line.
@@ -526,7 +528,7 @@ impl Lane<'_, '_> {
                 .find(|e| e.access.addr == access.addr)
             {
                 e.access.kind = AccessKind::Write(data);
-                self.push_completion(access.id, now, None);
+                self.push_completion(&access, now, None);
                 return;
             }
         }
@@ -924,7 +926,7 @@ impl Lane<'_, '_> {
                 self.store.ecp_mut(addr).clear_disturb();
                 job.committed = true;
                 self.ls.stats.writes.inc();
-                self.push_completion(job.entry.access.id, at, None);
+                self.push_completion(&job.entry.access, at, None);
                 // Disturbance injection.
                 let wl = self.inject_for(addr, &diff, Some(&mut job.pending_wl));
                 self.ls.stats.wl_errors.record(wl as u64);
@@ -1261,7 +1263,7 @@ impl Lane<'_, '_> {
             if let Some(d) = e.access.kind.write_data() {
                 self.ls.salvaged.insert(line, d);
             }
-            self.push_completion(e.access.id, at + self.sh.cfg.forward_latency, None);
+            self.push_completion(&e.access, at + self.sh.cfg.forward_latency, None);
         }
         true
     }
@@ -1694,12 +1696,6 @@ impl MemoryController {
         b.write_q.len() < self.cfg.write_queue_cap || b.wq_contains(addr)
     }
 
-    /// Entries currently queued in a bank's write queue (diagnostics).
-    #[must_use]
-    pub fn write_queue_len(&self, bank: u16) -> usize {
-        self.lanes[bank as usize].bank.write_q.len()
-    }
-
     /// The newest architectural value of a *logical* line as the program
     /// observes it: a queued or in-flight-but-uncommitted write's data
     /// wins over the array contents. Zero simulated time; used by the
@@ -1730,18 +1726,9 @@ impl MemoryController {
         }
     }
 
-    /// Whether any queue or bank still holds work.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.lanes.iter().all(|l| {
-            let b = &l.bank;
-            b.op.is_none() && b.paused.is_none() && b.read_q.is_empty() && b.write_q.is_empty()
-        })
-    }
-
-    /// Forces every bank to drain its write queue to empty (end-of-run
-    /// flush; ignores the low watermark).
-    pub fn drain_all(&mut self, now: Cycle) {
+    /// Forces every bank with queued writes to drain them to empty,
+    /// ignoring the burst bound ([`MemoryController::flush`]).
+    fn drain_all(&mut self, now: Cycle) {
         for i in 0..self.lanes.len() {
             if !self.lanes[i].bank.write_q.is_empty() {
                 self.lanes[i].bank.draining = true;
@@ -1893,29 +1880,47 @@ impl MemoryController {
     /// Surfaces any broken deep invariant as
     /// [`CtrlError::InternalAnomaly`] with a queue snapshot attached.
     pub fn advance(&mut self, now: Cycle) -> Result<Vec<Completion>, CtrlError> {
+        let _t = prof::timer(Site::CtrlAdvance);
+        self.process_until(now, false, u64::MAX);
+        self.take_anomaly(now)?;
         let mut out = Vec::new();
-        self.advance_into(now, &mut out)?;
+        while let Some(c) = self.completions.pop_due(now) {
+            out.push(c);
+        }
         Ok(out)
     }
 
-    /// [`MemoryController::advance`] draining into a caller-owned
-    /// scratch buffer so the event loops reuse one allocation across
-    /// iterations. `out` is cleared first; completions due by `now` are
-    /// moved into it in `(at, id)` order.
+    /// Ends a run: every bank with queued writes drains them to empty,
+    /// idle ones starting at `start`, and every remaining bank operation
+    /// completes in the same global `(busy_until, bank)` order as any
+    /// other advance. All outstanding completions are moved into `out`
+    /// (cleared first) in `(at, id)` order. A flush with anything left
+    /// to complete counts as one call under `Site::CtrlAdvance`.
+    ///
+    /// `start` only moves the timeline of banks that sit idle with
+    /// queued writes. Such a bank holds no reads, and bank lanes are
+    /// independent, so without a chaos plan the choice of `start`
+    /// changes no statistic, wear count or device content, only the
+    /// times of those banks' write completions. With a chaos plan it
+    /// can also move the faults fired during the flush, because the
+    /// plan draws in global operation order.
     ///
     /// # Errors
     ///
     /// Surfaces any broken deep invariant as
     /// [`CtrlError::InternalAnomaly`] with a queue snapshot attached.
-    pub fn advance_into(&mut self, now: Cycle, out: &mut Vec<Completion>) -> Result<(), CtrlError> {
-        let _t = prof::timer(Site::CtrlAdvance);
+    pub fn flush(&mut self, start: Cycle, out: &mut Vec<Completion>) -> Result<(), CtrlError> {
         out.clear();
-        self.process_until(now, false, u64::MAX);
-        self.take_anomaly(now)?;
-        while let Some(c) = self.completions.pop_due(now) {
+        self.drain_all(start);
+        if self.next_event().is_none() {
+            return Ok(()); // nothing queued or in flight: no call to time
+        }
+        let _t = prof::timer(Site::CtrlAdvance);
+        self.process_until(Cycle::MAX, false, u64::MAX);
+        while let Some(c) = self.completions.pop_due(Cycle::MAX) {
             out.push(c);
         }
-        Ok(())
+        self.take_anomaly(out.last().map_or(start, |c| c.at))
     }
 
     /// Runs the controller to the next time a front end can observe
@@ -1926,7 +1931,7 @@ impl MemoryController {
     /// idle pre-reads wake no one — and every completion due by then is
     /// moved into `out` (cleared first) in `(at, id)` order.
     ///
-    /// Processing is the same [`MemoryController::advance_into`] does;
+    /// Processing is the same [`MemoryController::advance`] does;
     /// by cadence invariance a front end that calls this once per wake
     /// sees exactly the completions and state it would see polling at
     /// every [`MemoryController::next_event`]. Each processed operation
@@ -2149,15 +2154,8 @@ mod tests {
 
     fn run_until_idle(c: &mut MemoryController) -> Vec<Completion> {
         let mut out = Vec::new();
-        let mut guard = 0;
-        loop {
-            c.drain_all(c.next_event().unwrap_or(Cycle::ZERO));
-            let Some(t) = c.next_event() else { break };
-            out.extend(c.advance(t).unwrap());
-            guard += 1;
-            assert!(guard < 1_000_000, "controller livelock");
-        }
-        out.extend(c.advance(Cycle::MAX).unwrap());
+        c.flush(c.next_event().unwrap_or(Cycle::ZERO), &mut out)
+            .unwrap();
         out
     }
 

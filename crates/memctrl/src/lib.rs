@@ -26,7 +26,8 @@
 //!   repeated writes amplify WD.
 //!
 //! Robustness: the steady-state API ([`MemoryController::submit`] /
-//! [`MemoryController::advance`] / [`MemoryController::run_until`]) returns typed [`CtrlError`]s instead of
+//! [`MemoryController::run_until`] / [`MemoryController::flush`], plus
+//! [`MemoryController::advance`]) returns typed [`CtrlError`]s instead of
 //! panicking, ECP exhaustion under LazyCorrection degrades through a
 //! retry → escalate → decommission ladder, and a chaos scenario
 //! ([`sdpcm_wd::chaos`]) can be installed to stress all of it

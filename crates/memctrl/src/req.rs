@@ -45,7 +45,7 @@ pub struct Access {
     pub kind: AccessKind,
     /// The (n:m) allocator tag from the page-table entry (Figure 9).
     pub ratio: NmRatio,
-    /// Issuing core (statistics only).
+    /// Issuing core, echoed in the completion.
     pub core: u8,
     /// Arrival time at the controller.
     pub arrive: Cycle,
@@ -56,6 +56,8 @@ pub struct Access {
 pub struct Completion {
     /// The request this answers.
     pub id: ReqId,
+    /// The issuing core ([`Access::core`]).
+    pub core: u8,
     /// Completion time.
     pub at: Cycle,
     /// `true` if the request was a write.

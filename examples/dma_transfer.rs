@@ -23,14 +23,6 @@ fn line_addr(geometry: &MemGeometry, frame: u64, slot: u8) -> LineAddr {
     LineAddr { bank, row, slot }
 }
 
-fn settle(ctrl: &mut MemoryController, now: Cycle) {
-    ctrl.drain_all(now);
-    while let Some(t) = ctrl.next_event() {
-        let _ = ctrl.advance(t).unwrap();
-        ctrl.drain_all(t);
-    }
-}
-
 fn main() {
     let geometry = MemGeometry::small(512);
     let mut ctrl = MemoryController::new(
@@ -83,7 +75,7 @@ fn main() {
             )
             .unwrap();
         }
-        settle(&mut ctrl, now);
+        ctrl.flush(now, &mut Vec::new()).unwrap();
         let ok = written
             .iter()
             .all(|(addr, data)| ctrl.architectural_line(*addr) == *data);

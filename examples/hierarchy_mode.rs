@@ -2,115 +2,56 @@
 //!
 //! The paper's simulator models the whole hierarchy (Table 2) and
 //! captures the post-cache reference stream with PIN. The benches use the
-//! post-cache mode directly; this example runs the other front end: a
-//! load/store stream filtered through the Table 2 caches, whose misses
-//! and dirty write-backs become the PCM traffic.
+//! post-cache mode directly (`SystemSim`); this example runs the other
+//! front end, `HierarchySim`: each core's load/store stream is filtered
+//! through its own cache stack, and only L3 misses and dirty L3
+//! write-backs become PCM traffic.
 //!
 //! ```text
 //! cargo run --release --example hierarchy_mode
 //! ```
 
-use sdpcm::cachesim::cache::AccessKind as CacheAccess;
-use sdpcm::cachesim::hierarchy::{CoreCaches, HierarchyConfig};
-use sdpcm::engine::{Cycle, SimRng};
-use sdpcm::memctrl::{Access, AccessKind, CtrlConfig, CtrlScheme, MemoryController, ReqId};
-use sdpcm::osalloc::NmRatio;
-use sdpcm::pcm::geometry::MemGeometry;
-use sdpcm::pcm::line::LineBuf;
+use sdpcm::core::hiersim::{HierarchyParams, HierarchySim};
+use sdpcm::core::{ExperimentParams, Scheme};
+use sdpcm::trace::BenchKind;
 
 fn main() {
-    let geometry = MemGeometry::small(4096);
-    let mut ctrl = MemoryController::new(
-        CtrlConfig::table2(CtrlScheme::lazyc_preread()),
-        geometry,
-        SimRng::from_seed_label(7, "hierarchy-example"),
+    // Scaled-down caches so the example produces PCM traffic (write-backs
+    // included) quickly; HierarchyParams::table2() gives the paper's real
+    // sizes.
+    let hparams = HierarchyParams {
+        accesses_per_core: 10_000,
+        ..HierarchyParams::quick_test()
+    };
+    let mut sim = HierarchySim::build(
+        Scheme::lazyc_preread(),
+        BenchKind::Wrf,
+        &ExperimentParams::quick_test(),
+        &hparams,
+    )
+    .expect("the quick-test device holds eight wrf working sets");
+    let stats = sim.run().expect("the hierarchy run completes");
+
+    // Every L3 miss and dirty eviction reaches the controller as exactly
+    // one demand request.
+    let (fills, writebacks) = sim.pcm_traffic();
+    assert_eq!((fills, writebacks), (stats.reads, stats.writes));
+
+    println!(
+        "hierarchy filtering of {} core accesses ({}):",
+        8 * hparams.accesses_per_core,
+        stats.workload
     );
-    // A scaled-down hierarchy so the example produces PCM traffic quickly;
-    // HierarchyConfig::table2() gives the paper's real sizes.
-    let mut caches = CoreCaches::new(HierarchyConfig::tiny());
-    let mut rng = SimRng::from_seed_label(7, "stream");
-
-    let mut now = Cycle::ZERO;
-    let mut next_id = 0u64;
-    let total_lines: u64 = 64 * 512; // walk a 2 MB region with some reuse
-    let mut pcm_reads = 0u64;
-    let mut pcm_writes = 0u64;
-
-    for i in 0..200_000u64 {
-        // 70% reads, 30% writes; 80% of traffic in a hot eighth.
-        let hot = rng.chance(0.8);
-        let line = if hot {
-            rng.below(total_lines / 8)
-        } else {
-            rng.below(total_lines)
-        };
-        let kind = if rng.chance(0.3) {
-            CacheAccess::Write
-        } else {
-            CacheAccess::Read
-        };
-        let out = caches.access(line, kind);
-        now += out.latency + Cycle(4); // core work between accesses
-
-        let mut submit = |ctrl: &mut MemoryController, line: u64, write: bool, now: Cycle| {
-            let addr = ctrl.store().geometry().line_of(line * 64);
-            let kind = if write {
-                // Write back the line's current data with a few flips.
-                let mut data = ctrl.latest_architectural(addr);
-                for b in 0..48 {
-                    let bit = (line as usize * 7 + b * 11) % 512;
-                    let v = data.bit(bit);
-                    data.set_bit(bit, !v);
-                }
-                AccessKind::Write(data)
-            } else {
-                AccessKind::Read
-            };
-            ctrl.submit(
-                Access {
-                    id: ReqId(next_id),
-                    addr,
-                    kind,
-                    ratio: NmRatio::one_one(),
-                    core: 0,
-                    arrive: now,
-                },
-                now,
-            )
-            .unwrap();
-            next_id += 1;
-        };
-
-        if let Some(fill) = out.pcm_fill {
-            pcm_reads += 1;
-            submit(&mut ctrl, fill, false, now);
-        }
-        for wb in &out.pcm_writebacks {
-            pcm_writes += 1;
-            submit(&mut ctrl, *wb, true, now);
-        }
-        // Let the controller catch up now and then.
-        if i % 64 == 0 {
-            let _ = ctrl.advance(now).unwrap();
-        }
-    }
-    ctrl.drain_all(now);
-    while let Some(t) = ctrl.next_event() {
-        let _ = ctrl.advance(t).unwrap();
-        ctrl.drain_all(t);
-    }
-
-    let [(h1, m1), (h2, m2), (h3, m3)] = caches.stats();
-    println!("hierarchy filtering of 200k core accesses:");
-    println!("  L1: {h1} hits / {m1} misses");
-    println!("  L2: {h2} hits / {m2} misses");
-    println!("  L3: {h3} hits / {m3} misses");
-    println!("  -> PCM demand fills: {pcm_reads}, PCM write-backs: {pcm_writes}");
-    let s = ctrl.stats();
+    println!("  -> PCM demand fills: {fills}, PCM write-backs: {writebacks}");
+    println!(
+        "  execution: {} cycles, CPI {:.3}",
+        stats.total_cycles,
+        stats.cpi()
+    );
+    let s = &stats.ctrl;
     println!("\ncontroller under that traffic (LazyC+PreRead on 4F2):");
     println!("  array writes committed: {}", s.writes);
     println!("  verification reads:     {}", s.verification_ops);
     println!("  WD errors buffered:     {}", s.ecp_records);
     println!("  corrections:            {}", s.correction_ops);
-    let _ = LineBuf::zeroed(); // keep the import used even if flips change
 }

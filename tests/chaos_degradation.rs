@@ -88,11 +88,8 @@ fn run_ladder(seed: u64) -> (CtrlStats, Vec<FaultEvent>, u64, usize) {
         .expect("hammering writes stay accepted");
         let _ = ctrl.advance(now).expect("steady state never faults");
     }
-    ctrl.drain_all(now);
-    while let Some(t) = ctrl.next_event() {
-        let _ = ctrl.advance(t).expect("drain never faults");
-        ctrl.drain_all(t);
-    }
+    ctrl.flush(now, &mut Vec::new())
+        .expect("the flush never faults");
     // Consistency holds across the entire ladder: every written line —
     // decommissioned or not — reads back its program-order value. Lines
     // whose planted stuck-cell population exceeds the 1-entry ECP are

@@ -154,13 +154,8 @@ impl Harness {
     }
 
     fn finish(&mut self) {
-        self.ctrl.drain_all(self.now);
-        while let Some(t) = self.ctrl.next_event() {
-            let done = self.ctrl.advance(t).unwrap();
-            self.check(done);
-            self.ctrl.drain_all(t);
-        }
-        let done = self.ctrl.advance(Cycle::MAX).unwrap();
+        let mut done = Vec::new();
+        self.ctrl.flush(self.now, &mut done).unwrap();
         self.check(done);
     }
 

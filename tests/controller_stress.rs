@@ -202,16 +202,14 @@ fn run_schedule(choice: &SchemeChoice, ops: &[Op]) -> Result<(), String> {
         }
     }
     // Settle and sweep.
-    ctrl.drain_all(now);
-    while let Some(t) = ctrl.next_event() {
-        for c in ctrl.advance(t).unwrap() {
-            if let Some((a, expect)) = pending.remove(&c.id) {
-                if c.data != Some(expect) && !unprotectable(&ctrl, a) {
-                    return Err(format!("late read of {a} returned wrong data"));
-                }
+    let mut done = Vec::new();
+    ctrl.flush(now, &mut done).unwrap();
+    for c in done {
+        if let Some((a, expect)) = pending.remove(&c.id) {
+            if c.data != Some(expect) && !unprotectable(&ctrl, a) {
+                return Err(format!("late read of {a} returned wrong data"));
             }
         }
-        ctrl.drain_all(t);
     }
     for (addr, expect) in &shadow {
         if ctrl.architectural_line(*addr) != *expect && !unprotectable(&ctrl, *addr) {
@@ -331,11 +329,7 @@ fn run_with_plan(
         .unwrap();
         let _ = ctrl.advance(now).unwrap();
     }
-    ctrl.drain_all(now);
-    while let Some(t) = ctrl.next_event() {
-        let _ = ctrl.advance(t).unwrap();
-        ctrl.drain_all(t);
-    }
+    ctrl.flush(now, &mut Vec::new()).unwrap();
     (
         ctrl.stats().clone(),
         ctrl.fault_log().to_vec(),
@@ -407,15 +401,9 @@ fn run_index_audit(choice: &SchemeChoice, ops: &[Op]) -> Result<(), String> {
         ctrl.check_wq_index()
             .map_err(|e| format!("after advance {i}: {e}"))?;
     }
-    ctrl.drain_all(now);
-    while let Some(t) = ctrl.next_event() {
-        let _ = ctrl.advance(t).unwrap();
-        ctrl.check_wq_index()
-            .map_err(|e| format!("during drain: {e}"))?;
-        ctrl.drain_all(t);
-    }
+    ctrl.flush(now, &mut Vec::new()).unwrap();
     ctrl.check_wq_index()
-        .map_err(|e| format!("after drain: {e}"))
+        .map_err(|e| format!("after flush: {e}"))
 }
 
 proptest! {
@@ -481,16 +469,20 @@ struct Outcome {
     digest: u64,
 }
 
+/// Completions as a cadence comparison records them.
+type Recorded = Vec<(ReqId, Cycle, Option<LineBuf>)>;
+
 /// Drives an open-loop schedule (requests arrive at fixed times whatever
-/// the controller does) at the given cadence, then flushes with the
-/// usual event-driven drain.
-fn run_cadence(
+/// the controller does) at the given cadence. Returns the unflushed
+/// controller, the completions handed out so far and the last submit
+/// time.
+fn drive(
     choice: &SchemeChoice,
     start_gap_psi: Option<u32>,
     plan: Option<&PlanChoice>,
     ops: &[Op],
     cadence: Cadence,
-) -> Outcome {
+) -> (MemoryController, Recorded, Cycle) {
     let mut ctrl = MemoryController::new(
         ctrl_config(choice, start_gap_psi),
         MemGeometry::small(64),
@@ -553,11 +545,21 @@ fn run_cadence(
         )
         .unwrap();
     }
-    ctrl.drain_all(now);
-    while let Some(t) = ctrl.next_event() {
-        record(&ctrl.advance(t).unwrap());
-        ctrl.drain_all(t);
-    }
+    (ctrl, completions, now)
+}
+
+/// [`drive`], then flush from the last submit time.
+fn run_cadence(
+    choice: &SchemeChoice,
+    start_gap_psi: Option<u32>,
+    plan: Option<&PlanChoice>,
+    ops: &[Op],
+    cadence: Cadence,
+) -> Outcome {
+    let (mut ctrl, mut completions, now) = drive(choice, start_gap_psi, plan, ops, cadence);
+    let mut done = Vec::new();
+    ctrl.flush(now, &mut done).unwrap();
+    completions.extend(done.iter().map(|c| (c.id, c.at, c.data)));
     Outcome {
         completions,
         stats: ctrl.stats(),
@@ -606,6 +608,61 @@ proptest! {
         ops in vec(op_strategy(), 50..250),
     ) {
         check_cadence_invariance(&choice, psi, plan.as_ref(), &ops);
+    }
+}
+
+/// Everything a flush can change except when things happened.
+#[derive(Debug, PartialEq)]
+struct Flushed {
+    /// The flush's completions, sorted by id.
+    completions: Vec<(ReqId, Option<LineBuf>)>,
+    stats: CtrlStats,
+    energy: sdpcm::pcm::energy::EnergyMeter,
+    wear: sdpcm::pcm::wear::WearMeter,
+    digest: u64,
+}
+
+/// Drives `ops` without a chaos plan, then flushes `shift` cycles after
+/// the start a simulator's back end uses: the controller's next event,
+/// or the last submit when it is idle.
+fn flush_shifted(
+    choice: &SchemeChoice,
+    start_gap_psi: Option<u32>,
+    ops: &[Op],
+    shift: u64,
+) -> Flushed {
+    let (mut ctrl, _, now) = drive(choice, start_gap_psi, None, ops, Cadence::SubmitTimes);
+    let start = ctrl.next_event().unwrap_or(now);
+    let mut done = Vec::new();
+    ctrl.flush(start + Cycle(shift), &mut done).unwrap();
+    let mut completions: Vec<_> = done.iter().map(|c| (c.id, c.data)).collect();
+    completions.sort_by_key(|&(id, _)| id);
+    Flushed {
+        completions,
+        stats: ctrl.stats(),
+        energy: ctrl.energy(),
+        wear: ctrl.store().wear(),
+        digest: ctrl.store().content_digest(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// What the one flush rule of the simulators rests on: a flush start
+    /// only moves banks that sit idle with queued writes, which hold no
+    /// reads, so without a chaos plan no result depends on it.
+    #[test]
+    fn flush_start_is_unobservable(
+        choice in scheme_strategy(),
+        psi in start_gap_strategy(),
+        ops in vec(op_strategy(), 50..250),
+    ) {
+        let base = flush_shifted(&choice, psi, &ops, 0);
+        for shift in [1, 400, 100_000] {
+            let shifted = flush_shifted(&choice, psi, &ops, shift);
+            prop_assert_eq!(&base, &shifted, "shift {} under {:?}, psi {:?}", shift, choice, psi);
+        }
     }
 }
 

@@ -59,11 +59,7 @@ fn run_stream(scheme: CtrlScheme, n: usize) -> (MemoryController, HashMap<LineAd
         .unwrap();
         let _ = ctrl.advance(now).unwrap();
     }
-    ctrl.drain_all(now);
-    while let Some(t) = ctrl.next_event() {
-        let _ = ctrl.advance(t).unwrap();
-        ctrl.drain_all(t);
-    }
+    ctrl.flush(now, &mut Vec::new()).unwrap();
     (ctrl, shadow)
 }
 
