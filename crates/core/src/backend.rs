@@ -253,7 +253,7 @@ impl Backend {
                 Wake::OutOfBudget(at) => return Err(self.livelock(at, cores.progress())),
             };
             for done in &self.done_scratch {
-                if !done.was_write {
+                if done.data.is_some() {
                     cores.read_done(usize::from(done.core), done.at);
                 }
             }

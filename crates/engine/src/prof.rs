@@ -54,10 +54,11 @@ pub enum Site {
     HierStep,
     /// `MemoryController::submit`.
     CtrlSubmit,
-    /// `MemoryController::run_until` (one probe per front-end wake),
-    /// `flush` (one per run with work left) and `advance` (one per
-    /// call). The bank operations they complete internally count in
-    /// their time, not in their calls.
+    /// `MemoryController::run_until` (one probe per front-end wake) and
+    /// `flush` (one per run with work left). The bank operations they
+    /// complete internally count in their time, not in their calls.
+    /// The site keeps its `ctrl_advance` name: it times how the
+    /// controller advances.
     CtrlAdvance,
     /// VnC verification reads resolved against the device.
     CtrlVerify,

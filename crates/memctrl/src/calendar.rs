@@ -123,10 +123,10 @@ impl DueQueue {
     /// Queues a completion.
     #[inline]
     pub(crate) fn push(&mut self, c: Completion) {
-        if c.was_write {
-            self.writes.push(Due(c));
-        } else {
+        if c.data.is_some() {
             self.reads.push(Due(c));
+        } else {
+            self.writes.push(Due(c));
         }
     }
 
@@ -176,13 +176,12 @@ mod tests {
             .min()
     }
 
-    fn completion(id: u64, at: u64, was_write: bool) -> Completion {
+    fn completion(id: u64, at: u64, write: bool) -> Completion {
         Completion {
             id: ReqId(id),
             core: 0,
             at: Cycle(at),
-            was_write,
-            data: (!was_write).then(sdpcm_pcm::line::LineBuf::zeroed),
+            data: (!write).then(sdpcm_pcm::line::LineBuf::zeroed),
         }
     }
 

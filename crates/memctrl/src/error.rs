@@ -1,7 +1,8 @@
 //! Typed controller errors and the diagnostic snapshot they carry.
 //!
-//! The controller's steady-state API ([`crate::MemoryController::submit`]
-//! and [`crate::MemoryController::advance`]) never panics: invalid
+//! The controller's steady-state API ([`crate::MemoryController::submit`],
+//! [`crate::MemoryController::run_until`] and
+//! [`crate::MemoryController::flush`]) never panics: invalid
 //! requests and broken internal invariants surface as a [`CtrlError`]
 //! carrying a [`CtrlSnapshot`] of the queues at detection time, so a
 //! failed multi-hour run ends with an actionable diagnosis instead of a

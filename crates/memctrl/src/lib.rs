@@ -26,24 +26,32 @@
 //!   repeated writes amplify WD.
 //!
 //! Robustness: the steady-state API ([`MemoryController::submit`] /
-//! [`MemoryController::run_until`] / [`MemoryController::flush`], plus
-//! [`MemoryController::advance`]) returns typed [`CtrlError`]s instead of
-//! panicking, ECP exhaustion under LazyCorrection degrades through a
+//! [`MemoryController::run_until`] / [`MemoryController::flush`])
+//! returns typed [`CtrlError`]s instead of panicking, ECP exhaustion under LazyCorrection degrades through a
 //! retry → escalate → decommission ladder, and a chaos scenario
 //! ([`sdpcm_wd::chaos`]) can be installed to stress all of it
 //! deterministically.
 //!
 //! Organization: [`req`] (requests/completions), [`scheme`] (mechanism
 //! switches), [`stats`] (counters behind Figures 4, 5, 11–19),
-//! [`writejob`] (the multi-phase write state machine), [`error`] (typed
-//! errors + diagnostic snapshots), [`ctrl`] (the controller: queues,
-//! banks, scheduling), and the private `calendar` module (the bank
-//! calendar and the completion queue the controller's event core reads).
+//! [`writejob`] (a write job's data and initial step list), [`error`]
+//! (typed errors + diagnostic snapshots), [`wearlevel`] (Start-Gap and
+//! the controller's line mapping), and [`ctrl`] (the driver:
+//! construction, `submit` / `run_until` / `flush`, diagnostics, and a
+//! private chaos harness). The per-bank logic sits in private modules:
+//! `bank` (a bank's queues and write-queue index), `lane` (submission,
+//! forwarding, dispatch, PreRead, cancellation, pausing), `program` (the
+//! VnC write program), `salvage` (decommissioning) and `calendar` (the
+//! bank calendar and the completion queue the event core reads).
 
+mod bank;
 mod calendar;
 pub mod ctrl;
 pub mod error;
+mod lane;
+mod program;
 pub mod req;
+mod salvage;
 pub mod scheme;
 pub mod stats;
 pub mod wearlevel;

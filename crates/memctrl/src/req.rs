@@ -60,9 +60,8 @@ pub struct Completion {
     pub core: u8,
     /// Completion time.
     pub at: Cycle,
-    /// `true` if the request was a write.
-    pub was_write: bool,
-    /// For reads: the architectural data returned.
+    /// For reads: the architectural data returned. Every read carries
+    /// data, so `None` marks a write's completion.
     pub data: Option<LineBuf>,
 }
 

@@ -6,9 +6,10 @@
 //! to the gap is copied into it and the gap moves one slot, so every
 //! logical line slowly migrates through every physical slot.
 //!
-//! This module implements the address algebra; the controller performs
-//! the actual copies through its normal write path (so gap-move writes
-//! are subject to write disturbance and VnC like any other write — an
+//! This module implements the address algebra and the controller's
+//! per-bank line mapping built on it; the controller performs the
+//! actual copies through its normal write path (so gap-move writes are
+//! subject to write disturbance and VnC like any other write — an
 //! interaction the original proposals never had to consider).
 //!
 //! Composition caveat (documented in DESIGN.md): Start-Gap remaps lines
@@ -24,6 +25,12 @@
 //!            gap == 0: copy slot[n]     -> slot[0];   gap = n;
 //!                      start = (start + 1) mod n
 //! ```
+
+use sdpcm_osalloc::NmRatio;
+use sdpcm_pcm::geometry::{BankId, LineAddr, MemGeometry, RowId, LINES_PER_ROW};
+
+use crate::error::CtrlError;
+use crate::req::Access;
 
 /// The Start-Gap state of one region.
 ///
@@ -150,10 +157,96 @@ impl StartGap {
     }
 }
 
+/// The controller's logical → physical line mapping: one Start-Gap
+/// region per bank over all its lines but the last, which is the spare
+/// slot, or the identity when wear levelling is off.
+#[derive(Debug, Clone)]
+pub(crate) struct LineMap {
+    banks: usize,
+    regions: Option<Vec<StartGap>>,
+}
+
+impl LineMap {
+    /// The mapping for `geometry`, moving each bank's gap every `psi`
+    /// demand writes (`None`: no wear levelling).
+    pub(crate) fn new(geometry: &MemGeometry, psi: Option<u32>) -> LineMap {
+        let banks = usize::from(geometry.banks());
+        LineMap {
+            banks,
+            regions: psi.map(|psi| {
+                // n logical lines, n + 1 physical slots.
+                let n = u64::from(geometry.rows_per_bank()) * LINES_PER_ROW as u64 - 1;
+                (0..banks).map(|_| StartGap::new(n, psi)).collect()
+            }),
+        }
+    }
+
+    /// Applies the bank's mapping to a demand request, rejecting
+    /// ratio/spare-line violations: Start-Gap composes only with the
+    /// (1:1) allocator.
+    pub(crate) fn remap_start_gap(&self, access: Access) -> Result<Access, CtrlError> {
+        if self.regions.is_some() && access.ratio != NmRatio::one_one() {
+            return Err(CtrlError::StartGapRatio {
+                ratio: access.ratio,
+            });
+        }
+        Ok(Access {
+            addr: self.try_remap_addr(access.addr)?,
+            ..access
+        })
+    }
+
+    /// Logical → physical line address under the bank's mapping.
+    /// Rejects out-of-range banks and the spare line.
+    pub(crate) fn try_remap_addr(&self, addr: LineAddr) -> Result<LineAddr, CtrlError> {
+        if usize::from(addr.bank.0) >= self.banks {
+            return Err(CtrlError::BankOutOfRange {
+                bank: addr.bank.0,
+                banks: self.banks,
+            });
+        }
+        let Some(regions) = &self.regions else {
+            return Ok(addr);
+        };
+        let la = u64::from(addr.row.0) * LINES_PER_ROW as u64 + u64::from(addr.slot);
+        let sg = &regions[usize::from(addr.bank.0)];
+        if la >= sg.logical_lines() {
+            // The last line of each bank is Start-Gap's spare slot.
+            return Err(CtrlError::SpareLineAccess { addr });
+        }
+        Ok(slot_addr(addr.bank, sg.map(la)))
+    }
+
+    /// Counts a demand write against `bank`'s gap schedule; every ψ-th
+    /// moves the gap and returns the copy to perform, `(from, to)` as
+    /// physical line addresses. The mapping reflects the move at once.
+    pub(crate) fn note_write(&mut self, bank: usize) -> Option<(LineAddr, LineAddr)> {
+        let mv = self.regions.as_mut()?[bank].note_write()?;
+        let bank = BankId(bank as u16);
+        Some((slot_addr(bank, mv.from), slot_addr(bank, mv.to)))
+    }
+}
+
+/// The line address of physical slot `p` of `bank`.
+fn slot_addr(bank: BankId, p: u64) -> LineAddr {
+    let lines_per_row = LINES_PER_ROW as u64;
+    LineAddr {
+        bank,
+        row: RowId((p / lines_per_row) as u32),
+        slot: (p % lines_per_row) as u8,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    use sdpcm_engine::Cycle;
+    use sdpcm_pcm::line::LineBuf;
+
+    use crate::ctrl::testkit::*;
+    use crate::scheme::CtrlScheme;
 
     /// Simulates the physical array to confirm mapping and copies agree.
     struct Sim {
@@ -284,5 +377,63 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn tiny_region_panics() {
         let _ = StartGap::new(1, 1);
+    }
+
+    #[test]
+    fn start_gap_preserves_data_across_moves() {
+        // psi=1: every write moves the gap; data must stay readable at
+        // its logical address through many full rotations.
+        let mut c = ctrl(CtrlScheme::din().with_start_gap(1));
+        let mut expected = Vec::new();
+        for i in 0..40u64 {
+            let a = line(2, (i % 10) as u32, (i % 3) as u8);
+            let data = patterned(1000 + i);
+            let t = Cycle(i * 100_000);
+            c.submit(write(i, a, data, t), t).unwrap();
+            let _ = run_until_idle(&mut c);
+            expected.retain(|(prev, _): &(LineAddr, LineBuf)| *prev != a);
+            expected.push((a, data));
+        }
+        assert!(c.stats().gap_moves.get() >= 40);
+        for (a, data) in expected {
+            assert_eq!(c.architectural_logical(a), data, "line {a} lost");
+            // Reads also return the right data.
+            c.submit(
+                read(10_000 + u64::from(a.row.0), a, Cycle(1 << 40)),
+                Cycle(1 << 40),
+            )
+            .unwrap();
+            let done = run_until_idle(&mut c);
+            assert_eq!(done.last().unwrap().data, Some(data));
+        }
+    }
+
+    #[test]
+    fn start_gap_actually_remaps() {
+        let mut c = ctrl(CtrlScheme::din().with_start_gap(1));
+        let a = line(0, 5, 0);
+        // After enough writes the physical location of `a` must differ
+        // from its logical one.
+        for i in 0..200u64 {
+            let t = Cycle(i * 100_000);
+            c.submit(write(i, a, patterned(i), t), t).unwrap();
+            let _ = run_until_idle(&mut c);
+        }
+        // The logical view tracks the data regardless.
+        assert_eq!(c.architectural_logical(a), patterned(199));
+        assert!(c.stats().gap_moves.get() >= 200);
+    }
+
+    #[test]
+    fn start_gap_rejects_nm_ratios() {
+        let mut c = ctrl(CtrlScheme::baseline_vnc().with_start_gap(8));
+        let a = Access {
+            ratio: NmRatio::one_two(),
+            ..write(1, line(0, 2, 0), patterned(1), Cycle(0))
+        };
+        assert!(matches!(
+            c.submit(a, Cycle(0)),
+            Err(CtrlError::StartGapRatio { .. })
+        ));
     }
 }

@@ -9,8 +9,9 @@
 //! there), so the job executes its steps serially; reads to the bank wait
 //! unless write cancellation is enabled and the job has not committed.
 //!
-//! This module holds the job's data; the transition logic lives in
-//! [`crate::ctrl`] where the device state is accessible.
+//! This module holds the job's data and its initial step list; the
+//! private `program` module runs the steps on a bank lane, where the
+//! device state is accessible.
 
 use std::collections::VecDeque;
 

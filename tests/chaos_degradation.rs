@@ -86,7 +86,6 @@ fn run_ladder(seed: u64) -> (CtrlStats, Vec<FaultEvent>, u64, usize) {
             now,
         )
         .expect("hammering writes stay accepted");
-        let _ = ctrl.advance(now).expect("steady state never faults");
     }
     ctrl.flush(now, &mut Vec::new())
         .expect("the flush never faults");

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use sdpcm::engine::{Cycle, SimRng};
 use sdpcm::memctrl::{
-    Access, AccessKind, Completion, CtrlConfig, CtrlScheme, MemoryController, ReqId,
+    Access, AccessKind, Completion, CtrlConfig, CtrlScheme, MemoryController, ReqId, Wake,
 };
 use sdpcm::osalloc::NmRatio;
 use sdpcm::pcm::geometry::{BankId, LineAddr, MemGeometry, RowId};
@@ -139,18 +139,16 @@ impl Harness {
                     self.now,
                 )
                 .unwrap();
+            let mut budget = u64::MAX;
             while self.pending_reads.contains_key(&id) {
-                let t = self
-                    .ctrl
-                    .next_event()
-                    .expect("read in flight keeps the controller busy");
-                self.now = self.now.max(t);
-                let done = self.ctrl.advance(t).unwrap();
+                let mut done = Vec::new();
+                match self.ctrl.run_until(None, &mut budget, &mut done).unwrap() {
+                    Wake::At(t) => self.now = self.now.max(t),
+                    other => panic!("read in flight keeps the controller busy: {other:?}"),
+                }
                 self.check(done);
             }
         }
-        let done = self.ctrl.advance(self.now).unwrap();
-        self.check(done);
     }
 
     fn finish(&mut self) {

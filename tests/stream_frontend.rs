@@ -57,7 +57,6 @@ fn run_stream(scheme: CtrlScheme, n: usize) -> (MemoryController, HashMap<LineAd
             now,
         )
         .unwrap();
-        let _ = ctrl.advance(now).unwrap();
     }
     ctrl.flush(now, &mut Vec::new()).unwrap();
     (ctrl, shadow)
