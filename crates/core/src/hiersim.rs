@@ -95,7 +95,7 @@ struct PendingAccess {
 
 struct HCore {
     stream: AddressStream,
-    caches: Box<CoreCaches>,
+    caches: CoreCaches,
     rng: SimRng,
     ready_at: Cycle,
     accesses_done: u64,
@@ -170,7 +170,7 @@ impl HierarchySim {
                     profile.ws_pages,
                     rng.derive(&format!("hier-addr{core}")),
                 ),
-                caches: Box::new(CoreCaches::new(hparams.caches)),
+                caches: CoreCaches::new(hparams.caches),
                 rng: rng.derive(&format!("hier-core{core}")),
                 ready_at: Cycle::ZERO,
                 accesses_done: 0,

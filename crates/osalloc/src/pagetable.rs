@@ -8,8 +8,6 @@
 //! functional: the paper treats its latency as part of the core
 //! pipeline.
 
-use std::collections::HashMap;
-
 use crate::nm::NmRatio;
 
 /// One page-table entry.
@@ -22,6 +20,10 @@ pub struct PteEntry {
 }
 
 /// A per-process page table with allocator tags.
+///
+/// The table is dense: one slot per virtual page up to the largest page
+/// mapped, so a translation is one bounds-checked index. Processes map
+/// their working sets from virtual page 0 up, which keeps it full.
 ///
 /// # Examples
 ///
@@ -36,7 +38,8 @@ pub struct PteEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    entries: HashMap<u64, PteEntry>,
+    /// Indexed by virtual page; `None` is an unmapped page.
+    entries: Vec<Option<PteEntry>>,
 }
 
 impl PageTable {
@@ -50,16 +53,21 @@ impl PageTable {
     ///
     /// # Panics
     ///
-    /// Panics if the virtual page is already mapped.
+    /// Panics if the virtual page is already mapped, or does not fit in
+    /// the address space of the host.
     pub fn map(&mut self, vpage: u64, frame: u64, ratio: NmRatio) {
-        let prev = self.entries.insert(vpage, PteEntry { frame, ratio });
+        let i = usize::try_from(vpage).expect("virtual page fits in usize");
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, None);
+        }
+        let prev = self.entries[i].replace(PteEntry { frame, ratio });
         assert!(prev.is_none(), "virtual page {vpage} double mapped");
     }
 
     /// Looks up a virtual page.
     #[must_use]
     pub fn translate(&self, vpage: u64) -> Option<PteEntry> {
-        self.entries.get(&vpage).copied()
+        *self.entries.get(usize::try_from(vpage).ok()?)?
     }
 }
 
@@ -75,6 +83,12 @@ mod tests {
         assert_eq!(e.frame, 99);
         assert_eq!(e.ratio, NmRatio::one_two());
         assert!(pt.translate(6).is_none());
+        // Pages below the largest mapped one stay unmapped until mapped.
+        assert!(pt.translate(0).is_none());
+        assert!(pt.translate(u64::MAX).is_none());
+        pt.map(0, 7, NmRatio::one_one());
+        assert_eq!(pt.translate(0).unwrap().frame, 7);
+        assert_eq!(pt.translate(5).unwrap().frame, 99);
     }
 
     #[test]

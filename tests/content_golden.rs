@@ -156,3 +156,51 @@ fn mechanism_paths_match_pinned_goldens() {
         "cancellations, pauses and gap moves must all occur: {reached:?}"
     );
 }
+
+/// The tiny hierarchy above has 16 L3 sets, and the Table 2 caches never
+/// evict within a short run, so neither pins set/tag arithmetic at a
+/// realistic set count. These caches do: 64 L1 sets, 256 L2 sets and
+/// 2,048 L3 sets, driven far enough on mcf that L3 evicts dirty lines
+/// to PCM.
+#[test]
+fn hierarchy_midsize_caches_match_pinned_golden() {
+    use sdpcm_cachesim::{CacheConfig, HierarchyConfig};
+    use sdpcm_engine::Cycle;
+    let hparams = HierarchyParams {
+        accesses_per_core: 12_000,
+        caches: HierarchyConfig {
+            l1: CacheConfig {
+                size_bytes: 4 * 1024,
+                ways: 4,
+                hit_latency: Cycle(2),
+            },
+            l2: CacheConfig {
+                size_bytes: 64 * 1024,
+                ways: 4,
+                hit_latency: Cycle(20),
+            },
+            l3: CacheConfig {
+                size_bytes: 1024 * 1024,
+                ways: 8,
+                hit_latency: Cycle(200),
+            },
+        },
+        ..HierarchyParams::quick_test()
+    };
+    let mut sim = HierarchySim::build(
+        Scheme::lazyc_preread(),
+        BenchKind::Mcf,
+        &ExperimentParams::quick_test(),
+        &hparams,
+    )
+    .unwrap();
+    let stats = sim.run().unwrap();
+    assert_eq!(hparams.caches.l3.sets(), 2048);
+    assert_eq!(
+        sim.controller().store().content_digest(),
+        0x32e48076315de13b,
+        "mid-size hierarchy content digest moved (see module docs)"
+    );
+    assert_eq!(sim.pcm_traffic(), (93_848, 947));
+    assert_eq!(stats.total_cycles, 8_901_015);
+}
