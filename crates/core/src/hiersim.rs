@@ -35,7 +35,7 @@ use sdpcm_engine::prof::Site;
 use sdpcm_engine::{Cycle, SimRng};
 use sdpcm_memctrl::MemoryController;
 use sdpcm_trace::addr::{AddressStream, LINES_PER_PAGE};
-use sdpcm_trace::{BenchKind, ToggleMask, Workload};
+use sdpcm_trace::{toggle_mask, BenchKind, ToggleMask, Workload};
 
 use crate::backend::{Backend, Cores, Target};
 use crate::config::{ExperimentParams, Scheme};
@@ -278,15 +278,11 @@ impl CacheCores {
             }
             // Dirty evictions become posted PCM writes; payloads are the
             // newest architectural value XOR 48 per-core toggle draws.
-            let mut writebacks = Vec::new();
-            for &wb in &out.pcm_writebacks {
-                let mut mask = ToggleMask::default();
-                for _ in 0..48 {
-                    let b = rng.index(512);
-                    mask[b / 64] ^= 1 << (b % 64);
-                }
-                writebacks.push((wb, mask));
-            }
+            let writebacks: Vec<(u64, ToggleMask)> = out
+                .pcm_writebacks
+                .iter()
+                .map(|&wb| (wb, toggle_mask(rng, 48)))
+                .collect();
             if t == now {
                 for (vline, mask) in &writebacks {
                     be.write(core, translate(be, core, *vline)?, mask, now)?;

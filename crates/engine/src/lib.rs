@@ -14,6 +14,8 @@
 //!   every table and figure of the evaluation.
 //! * [`hash`] — a deterministic FxHash-style hasher for the simulator's
 //!   hot-path maps (the DoS-resistant std default is wasted cost here).
+//! * [`par`] — the scoped-thread executor behind the figure sweeps and
+//!   parallel trace capture: outputs come back in input order.
 //! * [`prof`] — the always-compiled, zero-cost-when-disabled profiler
 //!   behind `SDPCM_PROF=1` and perfbench's `--trace 1`.
 //!
@@ -34,6 +36,7 @@
 
 pub mod clock;
 pub mod hash;
+pub mod par;
 pub mod prof;
 pub mod rng;
 pub mod stats;

@@ -224,6 +224,23 @@ impl SimRng {
         v
     }
 
+    /// Fills `out` with the next `out.len()` draws — exactly what as many
+    /// [`SimRng::next_u64`] calls would return — and moves the cursor
+    /// past them.
+    ///
+    /// A draw's counter, not the previous draw's value, fixes the next
+    /// draw, so every counter is known before the first block runs. One
+    /// straight loop over them lets the CPU overlap the independent
+    /// Philox blocks instead of finishing each before the caller's
+    /// dependent arithmetic asks for the next.
+    #[inline]
+    pub fn fill(&mut self, out: &mut [u64]) {
+        for (ctr, o) in (self.ctr..).zip(out.iter_mut()) {
+            *o = self.stream.at(ctr);
+        }
+        self.ctr += out.len() as u64;
+    }
+
     /// Uniform value in `[0, bound)`.
     ///
     /// # Panics
@@ -276,8 +293,7 @@ impl SimRng {
 
     /// Uniform `f64` in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
-        // 53 high bits → the canonical [0, 1) double.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_of(self.next_u64())
     }
 
     /// A draw from the geometric distribution: number of failures before
@@ -299,7 +315,16 @@ impl SimRng {
     }
 
     /// A Poisson draw with mean `lambda`, via inversion (adequate for the
-    /// small means used by the wear model).
+    /// small means used by the wear model and the write-size draws).
+    ///
+    /// Inversion multiplies uniforms until the product drops to
+    /// `exp(-lambda)`, about `lambda + 1` of them. They are drawn eight
+    /// at a time with [`SimRng::fill`] (the first chunk sized to the
+    /// expected count when that is smaller), so their Philox blocks
+    /// overlap; the cursor then moves back to just past the draws the
+    /// one-at-a-time loop would have consumed, and the draws computed
+    /// beyond them are discarded. Value and cursor are those of the
+    /// sequential form, which survives as the test oracle.
     ///
     /// # Panics
     ///
@@ -313,17 +338,37 @@ impl SimRng {
             return 0;
         }
         let limit = (-lambda).exp();
+        let base = self.ctr;
+        let mut buf = [0u64; POISSON_CHUNK];
+        let mut chunk = (lambda as usize).saturating_add(1).min(POISSON_CHUNK);
+        // `prod` starts at 1.0, so folding in draw 0 leaves it exactly
+        // `unit(draw 0)`, the sequential loop's starting product.
+        let mut prod = 1.0;
         let mut k = 0u64;
-        let mut prod = self.unit();
-        while prod > limit {
-            k += 1;
-            prod *= self.unit();
-            if k > 10_000 {
-                break; // numeric safety valve; unreachable for sane lambda
+        loop {
+            self.fill(&mut buf[..chunk]);
+            for &x in &buf[..chunk] {
+                prod *= unit_of(x);
+                // `k > 10_000` is the numeric safety valve; unreachable
+                // for sane lambda.
+                if prod <= limit || k > 10_000 {
+                    self.ctr = base + k + 1;
+                    return k;
+                }
+                k += 1;
             }
+            chunk = POISSON_CHUNK;
         }
-        k
     }
+}
+
+/// Draws [`SimRng::poisson`] computes per batch.
+const POISSON_CHUNK: usize = 8;
+
+/// The canonical `[0, 1)` double of a raw draw: its 53 high bits.
+#[inline]
+fn unit_of(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// A precomputed Bernoulli threshold for a fixed probability.
@@ -621,6 +666,85 @@ mod tests {
         let mean = total as f64 / n as f64;
         assert!((mean - lambda).abs() < 0.05, "mean={mean}");
         assert_eq!(r.poisson(0.0), 0);
+    }
+
+    /// The historical one-draw-at-a-time inversion, verbatim: the oracle
+    /// the batched [`SimRng::poisson`] must match in value and cursor.
+    fn poisson_sequential(r: &mut SimRng, lambda: f64) -> u64 {
+        if lambda == 0.0 {
+            return 0;
+        }
+        let limit = (-lambda).exp();
+        let mut k = 0u64;
+        let mut prod = r.unit();
+        while prod > limit {
+            k += 1;
+            prod *= r.unit();
+            if k > 10_000 {
+                break;
+            }
+        }
+        k
+    }
+
+    /// Means from the issue's sweep: zero, a near-zero mean whose first
+    /// draw almost always stops, the wear model's range, the write-size
+    /// means, and means so large that `exp(-lambda)` is 0.0 (the product
+    /// must underflow, or the valve fire, to stop).
+    const POISSON_LAMBDAS: [f64; 9] = [0.0, 1e-9, 0.5, 2.0, 12.0, 80.0, 96.0, 800.0, 1e300];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn batched_poisson_matches_sequential_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            skip in 0u64..20,
+            li in 0usize..9,
+        ) {
+            let lambda = POISSON_LAMBDAS[li];
+            let mut batched = SimRng::from_seed(seed);
+            batched.ctr = skip;
+            let mut oracle = batched.clone();
+            for call in 0..24 {
+                let want = poisson_sequential(&mut oracle, lambda);
+                let got = batched.poisson(lambda);
+                proptest::prop_assert_eq!(got, want, "lambda={} call={}", lambda, call);
+                proptest::prop_assert_eq!(batched.ctr, oracle.ctr, "cursor, lambda={}", lambda);
+            }
+        }
+
+        #[test]
+        fn fill_matches_repeated_next_u64(
+            seed in proptest::prelude::any::<u64>(),
+            skip in 0u64..100,
+            n in 0usize..70,
+        ) {
+            let mut filled = SimRng::from_seed(seed);
+            filled.ctr = skip;
+            let mut one_by_one = filled.clone();
+            let mut buf = vec![0u64; n];
+            filled.fill(&mut buf);
+            let want: Vec<u64> = (0..n).map(|_| one_by_one.next_u64()).collect();
+            proptest::prop_assert_eq!(buf, want);
+            proptest::prop_assert_eq!(filled.next_u64(), one_by_one.next_u64());
+        }
+    }
+
+    #[test]
+    fn poisson_at_huge_means_stops_by_underflow() {
+        // exp(-lambda) is 0.0, so only an exact-zero product stops the
+        // inversion: about 745 halvings' worth of uniforms, far short of
+        // the k > 10_000 valve.
+        for lambda in [800.0_f64, 1e300] {
+            assert_eq!((-lambda).exp(), 0.0);
+            let mut r = SimRng::from_seed(12);
+            let mut oracle = r.clone();
+            let k = r.poisson(lambda);
+            assert_eq!(k, poisson_sequential(&mut oracle, lambda));
+            assert!((500..10_000).contains(&k), "k={k}");
+            assert_eq!(r.ctr, k + 1);
+        }
     }
 
     #[test]

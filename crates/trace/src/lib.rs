@@ -44,6 +44,8 @@ pub mod workload;
 pub use addr::{AccessPattern, AddressStream};
 pub use gen::{MemRef, TraceGenerator};
 pub use profiles::{BenchKind, BenchmarkProfile};
-pub use reftrace::{RefSource, RefTrace, ToggleMask, TraceMeta, TraceRef, TRACE_SCHEMA_VERSION};
+pub use reftrace::{
+    toggle_mask, RefSource, RefTrace, ToggleMask, TraceMeta, TraceRef, TRACE_SCHEMA_VERSION,
+};
 pub use stream::StreamKernels;
 pub use workload::Workload;

@@ -30,19 +30,45 @@
 //! pulls from: `Live` draws from the generators (and is what capture
 //! drains), `Replay` walks a captured trace. Both yield byte-identical
 //! [`TraceRef`] sequences, which is what the golden replay tests pin.
+//!
+//! # Capture and storage
+//!
+//! * Parallel capture. The per-core sources are derived serially from
+//!   the system RNG, the same chain the live simulator walks; after
+//!   that each source draws only from its own counter-based streams, so
+//!   [`RefTrace::capture`] drains them on several threads and the bytes
+//!   cannot depend on the thread count or schedule.
+//! * Batched draws. Poisson write sizes ([`SimRng::poisson`]) and
+//!   toggle positions ([`toggle_mask`]) compute their Philox blocks in
+//!   batches and consume exactly the draws of the one-at-a-time loops.
+//! * Compact records. A core's references are one var-int byte stream,
+//!   in memory and on disk alike (layout under
+//!   [`TRACE_SCHEMA_VERSION`]); replay decodes by byte offset and hands
+//!   out the decoded [`TraceRef`].
 
 use std::sync::Arc;
 
+use sdpcm_engine::par::parallel_map;
 use sdpcm_engine::SimRng;
 
 use crate::gen::TraceGenerator;
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{get_varint, put_varint, Reader, WireError, Writer};
 use crate::workload::Workload;
 
 /// Schema version of the on-disk trace format. Bump on any change to
 /// the record layout *or* to the generator/payload draw semantics —
 /// a stale file must never replay under new semantics.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+///
+/// * v1 — fixed-width records: `u64` gap, `u64` vpage, `u8` slot,
+///   `u8` kind, then the eight mask words for writes.
+/// * v2 — each core's records are one byte stream, the same bytes the
+///   in-memory [`RefTrace`] holds: `varint(gap)`, `varint(vpage)`, one
+///   byte `slot | is_write << 7`, then the 64-byte mask (eight
+///   little-endian words) for writes only. The stream is framed by its
+///   record count and byte length. Draw semantics are unchanged from
+///   v1; a v1 file is rejected as [`WireError::WrongSchema`] and
+///   recaptured.
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// Words in a 512-bit line toggle mask.
 pub const MASK_WORDS: usize = 8;
@@ -92,14 +118,100 @@ impl TraceMeta {
     }
 }
 
-/// An immutable captured reference stream (one `Vec<TraceRef>` per
+/// An immutable captured reference stream (one encoded byte stream per
 /// core), shared across sweep cells behind an `Arc`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RefTrace {
     /// Capture identity.
     pub meta: TraceMeta,
-    /// Per-core reference sequences, in program order.
-    pub per_core: Vec<Vec<TraceRef>>,
+    /// Per-core record streams, in program order.
+    cores: Vec<CoreStream>,
+}
+
+/// One core's references, encoded back to back in the v2 record layout
+/// (see [`TRACE_SCHEMA_VERSION`]). A record is 3–21 bytes for a read and
+/// 64 more for a write, against 88 for a decoded [`TraceRef`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct CoreStream {
+    /// Records in `bytes`.
+    refs: u64,
+    /// The encoded records.
+    bytes: Vec<u8>,
+}
+
+/// Bit of the record's flag byte marking a write; the low six bits hold
+/// the slot, and bit 6 is always clear.
+const WRITE_FLAG: u8 = 0x80;
+
+impl CoreStream {
+    /// Appends one record.
+    fn push(&mut self, r: &TraceRef) {
+        debug_assert!(r.slot < 64, "slot {} outside its page", r.slot);
+        put_varint(&mut self.bytes, r.gap);
+        put_varint(&mut self.bytes, r.vpage);
+        if r.is_write {
+            self.bytes.push(r.slot | WRITE_FLAG);
+            for word in r.mask {
+                self.bytes.extend_from_slice(&word.to_le_bytes());
+            }
+        } else {
+            self.bytes.push(r.slot);
+        }
+        self.refs += 1;
+    }
+
+    /// Adopts a stream read from a file once it checks out: every record
+    /// decodes (varints canonical and in range, slot < 64, masks
+    /// complete), the records fill `bytes` exactly, and there are `refs`
+    /// of them. Nothing is allocated for a stream that fails.
+    fn validated(refs: u64, bytes: &[u8]) -> Result<CoreStream, WireError> {
+        let mut pos = 0;
+        let mut n = 0u64;
+        while pos < bytes.len() {
+            pos = decode_ref(bytes, pos)?.1;
+            n += 1;
+        }
+        if n != refs {
+            return Err(WireError::Malformed);
+        }
+        Ok(CoreStream {
+            refs,
+            bytes: bytes.to_vec(),
+        })
+    }
+}
+
+/// Decodes the record at byte `pos`, returning it and the offset of the
+/// record after it.
+#[inline]
+fn decode_ref(bytes: &[u8], mut pos: usize) -> Result<(TraceRef, usize), WireError> {
+    let gap = get_varint(bytes, &mut pos)?;
+    let vpage = get_varint(bytes, &mut pos)?;
+    let flags = *bytes.get(pos).ok_or(WireError::Truncated)?;
+    pos += 1;
+    let slot = flags & !WRITE_FLAG;
+    if slot >= 64 {
+        return Err(WireError::Malformed);
+    }
+    let is_write = flags & WRITE_FLAG != 0;
+    let mut mask = [0u64; MASK_WORDS];
+    if is_write {
+        let raw = bytes
+            .get(pos..pos + 8 * MASK_WORDS)
+            .ok_or(WireError::Truncated)?;
+        for (word, b) in mask.iter_mut().zip(raw.chunks_exact(8)) {
+            *word = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        }
+        pos += 8 * MASK_WORDS;
+    }
+    let r = TraceRef {
+        gap,
+        vpage,
+        slot,
+        is_write,
+        mask,
+    };
+    Ok((r, pos))
 }
 
 impl RefTrace {
@@ -108,35 +220,76 @@ impl RefTrace {
     /// full-system simulator's RNG derivation chain exactly, so a
     /// `Live` source and a `Replay` of this capture yield identical
     /// reference sequences.
+    ///
+    /// The per-core sources are derived serially, exactly as the live
+    /// simulator derives them; each source then draws only from its own
+    /// counter-based streams, so draining them on
+    /// `min(cores, available_parallelism)` workers yields the same bytes
+    /// as draining them one after another.
     #[must_use]
     pub fn capture(workload: &Workload, seed: u64, refs_per_core: u64) -> RefTrace {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        RefTrace::capture_on(workload, seed, refs_per_core, host)
+    }
+
+    /// [`RefTrace::capture`] on at most `workers` threads; the output
+    /// does not depend on `workers`.
+    fn capture_on(workload: &Workload, seed: u64, refs_per_core: u64, workers: usize) -> RefTrace {
         let mut rng = SimRng::from_seed_label(seed, "system");
         // The live system derives its controller stream first; consume
         // the same draw to keep the chain aligned.
         let _ = rng.derive("ctrl");
         let sources = RefSource::live_sources(workload, &mut rng);
-        let per_core = sources
-            .into_iter()
-            .map(|mut src| (0..refs_per_core).map(|_| src.next_ref()).collect())
-            .collect();
+        let cores = parallel_map(&sources, workers.min(sources.len()), |src| {
+            let mut src = src.clone();
+            let mut core = CoreStream::default();
+            for _ in 0..refs_per_core {
+                core.push(&src.next_ref());
+            }
+            core.bytes.shrink_to_fit();
+            core
+        });
         RefTrace {
             meta: TraceMeta {
                 workload: workload.name().to_owned(),
                 seed,
                 refs_per_core,
             },
-            per_core,
+            cores,
         }
+    }
+
+    /// Number of per-core sequences.
+    #[must_use]
+    pub fn cores(&self) -> usize {
+        self.cores.len()
+    }
+
+    /// Core `core`'s references, decoded in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn refs(&self, core: usize) -> impl Iterator<Item = TraceRef> + '_ {
+        let bytes = &self.cores[core].bytes;
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            (pos < bytes.len()).then(|| {
+                let (r, next) = decode_ref(bytes, pos).expect("trace streams are well-formed");
+                pos = next;
+                r
+            })
+        })
     }
 
     /// Total references across all cores.
     #[must_use]
     pub fn total_refs(&self) -> u64 {
-        self.per_core.iter().map(|c| c.len() as u64).sum()
+        self.cores.iter().map(|c| c.refs).sum()
     }
 
     /// Serializes to the versioned on-disk format (magic, schema,
-    /// meta, per-core records, trailing FNV-1a digest).
+    /// meta, per-core record streams, trailing FNV-1a digest).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -145,26 +298,21 @@ impl RefTrace {
         w.put_str(&self.meta.workload);
         w.put_u64(self.meta.seed);
         w.put_u64(self.meta.refs_per_core);
-        w.put_u32(self.per_core.len() as u32);
-        for core in &self.per_core {
-            w.put_u64(core.len() as u64);
-            for r in core {
-                w.put_u64(r.gap);
-                w.put_u64(r.vpage);
-                w.put_u8(r.slot);
-                w.put_u8(u8::from(r.is_write));
-                if r.is_write {
-                    for word in r.mask {
-                        w.put_u64(word);
-                    }
-                }
-            }
+        w.put_u32(self.cores.len() as u32);
+        for core in &self.cores {
+            w.put_u64(core.refs);
+            w.put_u64(core.bytes.len() as u64);
+            w.put_bytes(&core.bytes);
         }
         w.finish()
     }
 
     /// Deserializes a trace file, rejecting corruption (bad digest,
-    /// truncation, trailing garbage) and schema mismatches.
+    /// truncation, trailing garbage), schema mismatches, and any record
+    /// replay could not use. Nothing is allocated beyond the bytes the
+    /// file holds, and every record is validated (canonical varints,
+    /// slot < 64, complete masks, `refs_per_core` records per core)
+    /// before the trace is returned.
     pub fn from_bytes(bytes: &[u8]) -> Result<RefTrace, WireError> {
         let mut r = Reader::checked(bytes)?;
         if r.get_u32()? != u32::from_le_bytes(*b"SDPT") {
@@ -176,41 +324,18 @@ impl RefTrace {
         let workload = r.get_str()?;
         let seed = r.get_u64()?;
         let refs_per_core = r.get_u64()?;
-        let cores = r.get_u32()? as usize;
-        if cores > 1024 {
+        let n_cores = r.get_u32()? as usize;
+        if n_cores > 1024 {
             return Err(WireError::Malformed);
         }
-        let mut per_core = Vec::with_capacity(cores);
-        for _ in 0..cores {
-            let n = r.get_u64()? as usize;
-            if n > (1 << 32) {
+        let mut cores = Vec::with_capacity(n_cores);
+        for _ in 0..n_cores {
+            let refs = r.get_u64()?;
+            if refs != refs_per_core {
                 return Err(WireError::Malformed);
             }
-            let mut refs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let gap = r.get_u64()?;
-                let vpage = r.get_u64()?;
-                let slot = r.get_u8()?;
-                let is_write = match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed),
-                };
-                let mut mask = [0u64; MASK_WORDS];
-                if is_write {
-                    for word in &mut mask {
-                        *word = r.get_u64()?;
-                    }
-                }
-                refs.push(TraceRef {
-                    gap,
-                    vpage,
-                    slot,
-                    is_write,
-                    mask,
-                });
-            }
-            per_core.push(refs);
+            let len = usize::try_from(r.get_u64()?).map_err(|_| WireError::Malformed)?;
+            cores.push(CoreStream::validated(refs, r.get_bytes(len)?)?);
         }
         if !r.at_end() {
             return Err(WireError::Malformed);
@@ -221,16 +346,42 @@ impl RefTrace {
                 seed,
                 refs_per_core,
             },
-            per_core,
+            cores,
         })
     }
+}
+
+/// Draws `flips` payload toggle positions from `rng` into a fresh mask;
+/// duplicate positions cancel, exactly like repeated in-place bit flips.
+///
+/// Each position is `rng.index(512)`. Lemire's reduction never rejects a
+/// power-of-two bound, so that is the draw's top nine bits,
+/// `next_u64() >> 55`, one draw per position; the draws come from
+/// [`SimRng::fill`] in batches so their Philox blocks overlap. Consumes
+/// exactly the draws the one-at-a-time `index(512)` loop would.
+#[must_use]
+pub fn toggle_mask(rng: &mut SimRng, flips: usize) -> ToggleMask {
+    const BATCH: usize = 64;
+    let mut mask = [0u64; MASK_WORDS];
+    let mut buf = [0u64; BATCH];
+    let mut left = flips;
+    while left > 0 {
+        let n = left.min(BATCH);
+        rng.fill(&mut buf[..n]);
+        for &x in &buf[..n] {
+            let bit = x >> 55;
+            mask[(bit / 64) as usize] ^= 1u64 << (bit % 64);
+        }
+        left -= n;
+    }
+    mask
 }
 
 /// A per-core reference front end: live generation or trace replay.
 /// The full-system simulator pulls from this uniformly, so the replay
 /// path shares every line of issue/blocking logic with inline
 /// generation — bit-identity is structural, not coincidental.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum RefSource {
     /// Draw from the generator; payload toggles come from a per-core
     /// mask stream.
@@ -246,7 +397,7 @@ pub enum RefSource {
         trace: Arc<RefTrace>,
         /// Which core's sequence to walk.
         core: usize,
-        /// Next record index.
+        /// Byte offset of the next record in the core's stream.
         pos: usize,
     },
 }
@@ -272,7 +423,7 @@ impl RefSource {
     /// Builds per-core replay sources over a shared capture.
     #[must_use]
     pub fn replay_sources(trace: &Arc<RefTrace>) -> Vec<RefSource> {
-        (0..trace.per_core.len())
+        (0..trace.cores())
             .map(|core| RefSource::Replay {
                 trace: Arc::clone(trace),
                 core,
@@ -291,15 +442,11 @@ impl RefSource {
         match self {
             RefSource::Live { gen, mask_rng } => {
                 let r = gen.next_ref();
-                let mut mask = [0u64; MASK_WORDS];
-                if r.is_write {
-                    // `flip_bits` toggle draws; duplicate positions
-                    // cancel, exactly like repeated in-place bit flips.
-                    for _ in 0..r.flip_bits {
-                        let bit = mask_rng.index(512);
-                        mask[bit / 64] ^= 1u64 << (bit % 64);
-                    }
-                }
+                let mask = if r.is_write {
+                    toggle_mask(mask_rng, usize::from(r.flip_bits))
+                } else {
+                    [0u64; MASK_WORDS]
+                };
                 TraceRef {
                     gap: r.gap,
                     vpage: r.vpage,
@@ -309,12 +456,13 @@ impl RefSource {
                 }
             }
             RefSource::Replay { trace, core, pos } => {
-                let refs = &trace.per_core[*core];
-                let r = refs
-                    .get(*pos)
-                    .copied()
-                    .unwrap_or_else(|| panic!("core {core} replay exhausted at {pos}"));
-                *pos += 1;
+                let bytes = &trace.cores[*core].bytes;
+                assert!(
+                    *pos < bytes.len(),
+                    "core {core} replay exhausted at byte {pos}"
+                );
+                let (r, next) = decode_ref(bytes, *pos).expect("trace streams are well-formed");
+                *pos = next;
                 r
             }
         }
@@ -361,7 +509,7 @@ mod tests {
     fn masks_zero_for_reads_nonzero_for_typical_writes() {
         let t = capture_small();
         let mut writes = 0u64;
-        for r in t.per_core.iter().flatten() {
+        for r in (0..t.cores()).flat_map(|c| t.refs(c)) {
             if r.is_write {
                 writes += 1;
                 assert!(
@@ -404,6 +552,325 @@ mod tests {
             RefTrace::from_bytes(&stale),
             Err(WireError::WrongSchema)
         ));
+    }
+
+    /// The pre-batching capture, kept as the oracle: drain each live
+    /// source one after another, drawing toggles one `index(512)` at a
+    /// time, into decoded records.
+    fn serial_oracle(workload: &Workload, seed: u64, refs_per_core: u64) -> Vec<Vec<TraceRef>> {
+        let mut rng = SimRng::from_seed_label(seed, "system");
+        let _ = rng.derive("ctrl");
+        RefSource::live_sources(workload, &mut rng)
+            .into_iter()
+            .map(|src| {
+                let RefSource::Live {
+                    mut gen,
+                    mut mask_rng,
+                } = src
+                else {
+                    unreachable!("live_sources builds live sources")
+                };
+                (0..refs_per_core)
+                    .map(|_| {
+                        let r = gen.next_ref();
+                        let mut mask = [0u64; MASK_WORDS];
+                        if r.is_write {
+                            for _ in 0..r.flip_bits {
+                                let bit = mask_rng.index(512);
+                                mask[bit / 64] ^= 1u64 << (bit % 64);
+                            }
+                        }
+                        TraceRef {
+                            gap: r.gap,
+                            vpage: r.vpage,
+                            slot: r.slot,
+                            is_write: r.is_write,
+                            mask,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn decoded(t: &RefTrace) -> Vec<Vec<TraceRef>> {
+        (0..t.cores()).map(|c| t.refs(c).collect()).collect()
+    }
+
+    /// A trace holding exactly `cores` (for wire tests).
+    fn trace_of(cores: &[Vec<TraceRef>]) -> RefTrace {
+        let refs_per_core = cores.first().map_or(0, |c| c.len() as u64);
+        RefTrace {
+            meta: TraceMeta {
+                workload: "crafted".to_owned(),
+                seed: 3,
+                refs_per_core,
+            },
+            cores: cores
+                .iter()
+                .map(|refs| {
+                    let mut core = CoreStream::default();
+                    refs.iter().for_each(|r| core.push(r));
+                    core
+                })
+                .collect(),
+        }
+    }
+
+    fn mixed_workload() -> Workload {
+        let profiles = [
+            BenchKind::Mcf,
+            BenchKind::Lbm,
+            BenchKind::Wrf,
+            BenchKind::Xalan,
+            BenchKind::Stream,
+            BenchKind::Bwaves,
+            BenchKind::Zeusmp,
+            BenchKind::GemsFdtd,
+        ]
+        .map(BenchKind::profile)
+        .to_vec();
+        Workload::mixed("mix-capture", profiles)
+    }
+
+    #[test]
+    fn toggle_mask_matches_the_index_loop() {
+        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130, 512] {
+            for seed in 0..4 {
+                let mut batched = SimRng::from_seed_label(seed, "toggles");
+                let _ = batched.next_u64(); // start mid-stream
+                let mut oracle = batched.clone();
+                let mut want = [0u64; MASK_WORDS];
+                for _ in 0..n {
+                    let bit = oracle.index(512);
+                    want[bit / 64] ^= 1u64 << (bit % 64);
+                }
+                assert_eq!(toggle_mask(&mut batched, n), want, "n={n} seed={seed}");
+                assert_eq!(batched.next_u64(), oracle.next_u64(), "cursor, n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn capture_matches_the_serial_oracle_at_any_worker_count() {
+        let mut workloads: Vec<Workload> = BenchKind::all()
+            .into_iter()
+            .map(Workload::homogeneous)
+            .collect();
+        workloads.push(mixed_workload());
+        for workload in &workloads {
+            let want = serial_oracle(workload, 17, 150);
+            for workers in [1, 2, 3, 8] {
+                let got = RefTrace::capture_on(workload, 17, 150, workers);
+                assert_eq!(
+                    decoded(&got),
+                    want,
+                    "{} at {workers} workers",
+                    workload.name()
+                );
+                assert_eq!(got.total_refs(), 8 * 150);
+            }
+            assert_eq!(
+                RefTrace::capture(workload, 17, 150),
+                RefTrace::capture_on(workload, 17, 150, 1)
+            );
+        }
+    }
+
+    /// Capture soak: nine benchmarks × 20 seeds × {1, 2, 8} workers, each
+    /// against the serial oracle and through a file round trip.
+    #[test]
+    #[ignore = "release soak; run with --ignored"]
+    fn capture_soak_across_seeds_and_workers() {
+        for bench in BenchKind::all() {
+            let workload = Workload::homogeneous(bench);
+            for seed in 0..20 {
+                let want = serial_oracle(&workload, seed, 1_000);
+                for workers in [1, 2, 8] {
+                    let got = RefTrace::capture_on(&workload, seed, 1_000, workers);
+                    assert_eq!(decoded(&got), want, "{bench:?} seed {seed} at {workers}");
+                    let back = RefTrace::from_bytes(&got.to_bytes()).unwrap();
+                    assert_eq!(back, got, "{bench:?} seed {seed} round trip");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn v2_round_trips_extreme_records() {
+        let mut mask = [0u64; MASK_WORDS];
+        mask[0] = 1;
+        mask[7] = u64::MAX;
+        let read = |gap, vpage, slot| TraceRef {
+            gap,
+            vpage,
+            slot,
+            is_write: false,
+            mask: [0; MASK_WORDS],
+        };
+        let write = |gap, vpage, slot| TraceRef {
+            is_write: true,
+            mask,
+            ..read(gap, vpage, slot)
+        };
+        let extremes = vec![
+            read(u64::MAX, u64::MAX, 63),
+            write(u64::MAX, u64::MAX, 63),
+            read(0, 0, 0),
+            write(0, 0, 0),
+            read(0x80, 0x3fff, 1),
+            write(1 << 63, (1 << 63) - 1, 62),
+        ];
+        let reads: Vec<TraceRef> = (0..40)
+            .map(|i| read(i * 977, i << 40, (i % 64) as u8))
+            .collect();
+        let writes: Vec<TraceRef> = (0..40)
+            .map(|i| write(u64::MAX - i, i, (63 - i % 64) as u8))
+            .collect();
+        for cores in [
+            vec![extremes.clone(), extremes.iter().rev().copied().collect()],
+            vec![reads.clone(), reads],
+            vec![writes.clone(), writes],
+            vec![Vec::new(); 8],
+            Vec::new(),
+        ] {
+            let t = trace_of(&cores);
+            assert_eq!(decoded(&t), cores);
+            let back = RefTrace::from_bytes(&t.to_bytes()).unwrap();
+            assert_eq!(back, t);
+            assert_eq!(decoded(&back), cores);
+        }
+        // A read of small fields is three bytes; a write adds its mask.
+        let t = trace_of(&[vec![read(4, 9, 5), write(4, 9, 5)]]);
+        assert_eq!(t.cores[0].bytes.len(), 3 + 3 + 64);
+    }
+
+    /// File bytes with a valid digest: header for `cores`, then the
+    /// caller's per-core `(refs, declared length, stream)` frames, then
+    /// `tail`.
+    fn crafted(refs_per_core: u64, frames: &[(u64, u64, &[u8])], tail: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u32(u32::from_le_bytes(*b"SDPT"));
+        w.put_u32(TRACE_SCHEMA_VERSION);
+        w.put_str("crafted");
+        w.put_u64(3);
+        w.put_u64(refs_per_core);
+        w.put_u32(frames.len() as u32);
+        for &(refs, len, stream) in frames {
+            w.put_u64(refs);
+            w.put_u64(len);
+            w.put_bytes(stream);
+        }
+        w.put_bytes(tail);
+        w.finish()
+    }
+
+    #[test]
+    fn crafted_files_with_valid_digests_are_rejected() {
+        use WireError::{Malformed, Truncated};
+        // One good read record: gap 4, vpage 9, slot 5.
+        let good: &[u8] = &[4, 9, 5];
+        let ok = crafted(1, &[(1, 3, good)], &[]);
+        assert_eq!(
+            decoded(&RefTrace::from_bytes(&ok).unwrap()),
+            vec![vec![TraceRef {
+                gap: 4,
+                vpage: 9,
+                slot: 5,
+                is_write: false,
+                mask: [0; MASK_WORDS],
+            }]]
+        );
+        let mut write_mask_cut = vec![4, 9, 5 | WRITE_FLAG];
+        write_mask_cut.extend([0xaa; 63]);
+        let cases: Vec<(&str, Vec<u8>, WireError)> = vec![
+            // Counts and lengths that would once have sized allocations.
+            (
+                "2^32 refs",
+                crafted(1 << 32, &[(1 << 32, 3, good)], &[]),
+                Malformed,
+            ),
+            (
+                "huge length",
+                crafted(1, &[(1, u64::MAX, good)], &[]),
+                Truncated,
+            ),
+            (
+                "length past the file",
+                crafted(1, &[(1, 4, good)], &[]),
+                Truncated,
+            ),
+            // Record contents.
+            (
+                "slot 64",
+                crafted(1, &[(1, 3, &[4, 9, 64])], &[]),
+                Malformed,
+            ),
+            (
+                "slot 127 write",
+                crafted(1, &[(1, 3, &[4, 9, 0xff])], &[]),
+                Malformed,
+            ),
+            (
+                "overlong gap",
+                crafted(
+                    1,
+                    &[(
+                        1,
+                        13,
+                        &[
+                            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 9, 5, 0,
+                        ],
+                    )],
+                    &[],
+                ),
+                Malformed,
+            ),
+            (
+                "non-canonical vpage",
+                crafted(1, &[(1, 4, &[4, 0x89, 0x00, 5])], &[]),
+                Malformed,
+            ),
+            (
+                "varint cut by the frame",
+                crafted(1, &[(1, 2, &[4, 0x89])], &[5]),
+                Truncated,
+            ),
+            (
+                "flag byte missing",
+                crafted(1, &[(1, 2, &[4, 9])], &[]),
+                Truncated,
+            ),
+            (
+                "mask cut short",
+                crafted(1, &[(1, 66, &write_mask_cut)], &[]),
+                Truncated,
+            ),
+            // Framing.
+            (
+                "fewer records than counted",
+                crafted(2, &[(2, 3, good)], &[]),
+                Malformed,
+            ),
+            (
+                "more records than counted",
+                crafted(1, &[(1, 6, &[4, 9, 5, 4, 9, 5])], &[]),
+                Malformed,
+            ),
+            (
+                "count differs from quota",
+                crafted(2, &[(1, 3, good)], &[]),
+                Malformed,
+            ),
+            (
+                "trailing bytes",
+                crafted(1, &[(1, 3, good)], &[0]),
+                Malformed,
+            ),
+        ];
+        for (what, bytes, want) in cases {
+            assert_eq!(RefTrace::from_bytes(&bytes), Err(want), "{what}");
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! past the end. Every trace file ends with an FNV-1a digest of the
 //! preceding bytes so truncated or bit-rotted files are rejected instead
 //! of replayed.
+//!
+//! Reference records use LEB128 variable-length integers
+//! (`put_varint` / `get_varint`): seven bits per byte, low group
+//! first, the high bit set on every byte but the last. The decoder
+//! accepts only the canonical (shortest) encoding of a value, so equal
+//! record streams are equal byte strings.
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -54,6 +60,11 @@ impl Writer {
     /// Appends a `u64` (little-endian).
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends raw bytes (the caller writes their length first).
+    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -156,6 +167,12 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// Reads `n` raw bytes. A length larger than what is left fails as
+    /// [`WireError::Truncated`] before anything is allocated.
+    pub(crate) fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        self.take(n)
+    }
+
     /// Reads a length-prefixed UTF-8 string (length capped at 64 KiB —
     /// trace names are short, anything larger is corruption).
     pub fn get_str(&mut self) -> Result<String, WireError> {
@@ -173,6 +190,43 @@ impl<'a> Reader<'a> {
     pub fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
+}
+
+/// Longest LEB128 encoding of a `u64`: ten 7-bit groups.
+const VARINT_MAX_BYTES: usize = 10;
+
+/// Appends `v` as a LEB128 variable-length integer (1–10 bytes).
+#[inline]
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads the LEB128 integer at `*pos` in `bytes` and moves `*pos` past
+/// it. Fails as [`WireError::Truncated`] when `bytes` ends inside it and
+/// as [`WireError::Malformed`] when it runs past 64 bits or is not the
+/// shortest encoding of its value (a zero final byte after others).
+#[inline]
+pub(crate) fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, WireError> {
+    let mut v = 0u64;
+    for i in 0..VARINT_MAX_BYTES {
+        let b = *bytes.get(*pos + i).ok_or(WireError::Truncated)?;
+        if i == VARINT_MAX_BYTES - 1 && b > 1 {
+            return Err(WireError::Malformed);
+        }
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            if b == 0 && i > 0 {
+                return Err(WireError::Malformed);
+            }
+            *pos += i + 1;
+            return Ok(v);
+        }
+    }
+    unreachable!("the tenth byte either ends the varint or is rejected")
 }
 
 #[cfg(test)]
@@ -225,5 +279,46 @@ mod tests {
         let mut r = Reader::checked(&bytes).unwrap();
         let _ = r.get_u64().unwrap();
         assert!(r.get_u8().is_err());
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width() {
+        let mut values = vec![0u64, 1, 0x7f, 0x80, 0x3fff, 0x4000, u64::MAX - 1, u64::MAX];
+        values.extend((0..64).map(|b| 1u64 << b));
+        values.extend((1..64).map(|b| (1u64 << b) - 1));
+        for v in values {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            let width = (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+            assert_eq!(buf.len(), width, "v={v:#x}");
+            let mut pos = 0;
+            assert_eq!(get_varint(&buf, &mut pos), Ok(v));
+            assert_eq!(pos, buf.len());
+            // Every strict prefix ends inside the varint.
+            for cut in 0..buf.len() {
+                let mut pos = 0;
+                assert_eq!(get_varint(&buf[..cut], &mut pos), Err(WireError::Truncated));
+            }
+        }
+    }
+
+    #[test]
+    fn overlong_and_non_canonical_varints_are_rejected() {
+        // Eleven bytes: past 64 bits.
+        let mut long = vec![0xff; 10];
+        long.push(0x01);
+        assert_eq!(get_varint(&long, &mut 0), Err(WireError::Malformed));
+        // A tenth byte carrying more than bit 63.
+        let mut wide = vec![0xff; 9];
+        wide.push(0x02);
+        assert_eq!(get_varint(&wide, &mut 0), Err(WireError::Malformed));
+        // Zero written in two bytes, and 1 padded with a zero group.
+        assert_eq!(get_varint(&[0x80, 0x00], &mut 0), Err(WireError::Malformed));
+        assert_eq!(
+            get_varint(&[0x81, 0x80, 0x00], &mut 0),
+            Err(WireError::Malformed)
+        );
+        // A lone zero byte is zero.
+        assert_eq!(get_varint(&[0x00], &mut 0), Ok(0));
     }
 }
