@@ -68,8 +68,9 @@ pub(crate) struct Backend {
 impl Backend {
     /// Validates `params`, maps every core's working set under the
     /// scheme's ratio and builds the controller. Returns the RNG rooted at
-    /// `label` *after* the controller stream has been derived, for the
-    /// front end's own draws.
+    /// `label` *after* the controller stream has been derived, for a
+    /// front end that draws at run time (the cache hierarchy's
+    /// write-back payloads).
     pub(crate) fn build(
         scheme: &Scheme,
         workload: &Workload,
@@ -149,8 +150,8 @@ impl Backend {
     }
 
     /// Posts a write at `at` whose payload is the line's newest
-    /// architectural value with `mask` applied. Live, replayed and
-    /// hierarchy write-backs all go through here, so their payloads are
+    /// architectural value with `mask` applied. Replayed references and
+    /// hierarchy write-backs both go through here, so their payloads are
     /// synthesized identically by construction.
     pub(crate) fn write(
         &mut self,

@@ -26,8 +26,8 @@ use crate::sweep::{default_workers, parallel_map};
 use crate::system::SystemSim;
 use crate::tracestore::TraceStore;
 
-/// Runs one (scheme, benchmark) cell, generating the reference stream
-/// inline.
+/// Runs one (scheme, benchmark) cell over a trace captured for it
+/// alone: [`run_cell_replay`] on a fresh in-memory store.
 ///
 /// # Panics
 ///
@@ -37,15 +37,12 @@ use crate::tracestore::TraceStore;
 /// handle [`crate::SdpcmError`] yourself.
 #[must_use]
 pub fn run_cell(scheme: &Scheme, bench: BenchKind, params: &ExperimentParams) -> RunStats {
-    SystemSim::build(scheme, bench, params)
-        .and_then(|mut sim| sim.run())
-        .expect("figure runners use known-good configurations")
+    run_cell_replay(&TraceStore::in_memory(), scheme, bench, params)
 }
 
 /// Runs one (scheme, benchmark) cell over a shared trace store: the
 /// workload's reference stream is captured on first touch (or loaded
-/// from the store's disk cache) and replayed. Bit-identical to
-/// [`run_cell`] — the golden replay tests pin that.
+/// from the store's disk cache) and replayed.
 ///
 /// # Panics
 ///

@@ -10,7 +10,8 @@
 //!   the `(n:m)` allocators) and [`config::ExperimentParams`]
 //!   (seed, reference counts, geometry sizing).
 //! * [`system`] — [`system::SystemSim`]: eight trace-driven in-order
-//!   cores replaying post-cache reference streams.
+//!   cores that always replay a captured post-cache reference stream
+//!   (building from a workload captures its trace first).
 //! * [`metrics`] — [`metrics::RunStats`]: cycles, CPI,
 //!   speedups, controller counters, and wear/lifetime summaries.
 //! * [`experiments`] — one function per paper table/figure, returning

@@ -6,15 +6,17 @@
 //! answers, and writes post into the write queue (stalling only when the
 //! bank's queue is full — the back-pressure behind bursty drains).
 //!
-//! The OS mapping, the controller and the event loop are the shared
-//! back end (`backend.rs`); this module holds only the cores.
+//! Cores always replay a captured [`RefTrace`]: building a system from
+//! a workload captures its trace first. The OS mapping, the controller
+//! and the event loop are the shared back end (`backend.rs`); this
+//! module holds only the cores.
 
 use std::sync::Arc;
 
 use sdpcm_engine::prof::Site;
 use sdpcm_engine::Cycle;
 use sdpcm_memctrl::MemoryController;
-use sdpcm_trace::{BenchKind, RefSource, RefTrace, TraceRef, Workload};
+use sdpcm_trace::{BenchKind, RefCursor, RefTrace, TraceMeta, TraceRef, Workload};
 
 use crate::backend::{Backend, Cores};
 use crate::config::{ExperimentParams, Scheme};
@@ -23,8 +25,8 @@ use crate::fault::FaultPlan;
 use crate::metrics::RunStats;
 
 struct Core {
-    /// Where references come from: live generation or trace replay.
-    src: RefSource,
+    /// The core's references, replayed from the shared capture.
+    refs: RefCursor<Arc<RefTrace>>,
     /// The next reference and the time the core is ready to issue it.
     pending: Option<(TraceRef, Cycle)>,
     /// Waiting for a read to complete.
@@ -34,10 +36,9 @@ struct Core {
     finish: Option<Cycle>,
 }
 
-/// The trace-driven cores and their per-core reference quota.
+/// The trace-driven cores.
 struct TraceCores {
     cores: Vec<Core>,
-    quota: u64,
 }
 
 /// The assembled system: cores + OS mapping + controller.
@@ -69,25 +70,25 @@ impl SystemSim {
         SystemSim::build_workload(scheme, &Workload::homogeneous(bench), params)
     }
 
-    /// Builds the system for an arbitrary 8-core workload. Fails when the
-    /// parameters are degenerate ([`ExperimentParams::validate`]) or the
-    /// workload does not fit the device under the scheme's allocation
-    /// ratio.
+    /// Builds the system for an arbitrary 8-core workload: captures its
+    /// reference trace and builds over it with
+    /// [`SystemSim::build_replay`]. Fails, before anything is captured,
+    /// when the parameters are degenerate ([`ExperimentParams::validate`])
+    /// or the workload does not fit the device under the scheme's
+    /// allocation ratio.
     pub fn build_workload(
         scheme: &Scheme,
         workload: &Workload,
         params: &ExperimentParams,
     ) -> Result<SystemSim, SdpcmError> {
-        // `RefTrace::capture` mirrors this RNG chain up to the sources.
-        let (be, mut rng) = Backend::build(scheme, workload, params, "system")?;
-        let sources = RefSource::live_sources(workload, &mut rng);
-        Ok(SystemSim::assemble(scheme, workload, params, be, sources))
+        params.validate()?;
+        params.geometry_for(workload, scheme.ratio)?;
+        let trace = RefTrace::capture(workload, params.seed, params.refs_per_core);
+        SystemSim::build_replay(scheme, workload, params, &Arc::new(trace))
     }
 
-    /// Builds the system over a previously captured reference trace:
-    /// identical backend and issue semantics, but references replay from
-    /// `trace` instead of being regenerated — the whole trace-generation
-    /// front end is skipped.
+    /// Builds the system over a previously captured reference trace,
+    /// which any number of cells may share.
     ///
     /// # Errors
     ///
@@ -100,55 +101,36 @@ impl SystemSim {
         params: &ExperimentParams,
         trace: &Arc<RefTrace>,
     ) -> Result<SystemSim, SdpcmError> {
-        let expect = format!(
-            "{}/{}/{}",
-            workload.name(),
-            params.seed,
-            params.refs_per_core
-        );
-        let got = format!(
-            "{}/{}/{}",
-            trace.meta.workload, trace.meta.seed, trace.meta.refs_per_core
-        );
-        if expect != got {
-            return Err(SimError::TraceMismatch { expect, got }.into());
+        let expect = TraceMeta::of(workload, params.seed, params.refs_per_core);
+        if trace.meta != expect {
+            return Err(SimError::TraceMismatch {
+                expect: expect.to_string(),
+                got: trace.meta.to_string(),
+            }
+            .into());
         }
-        let (be, _rng) = Backend::build(scheme, workload, params, "system")?;
-        let sources = RefSource::replay_sources(trace);
-        Ok(SystemSim::assemble(scheme, workload, params, be, sources))
-    }
-
-    /// Wires the reference sources to the backend.
-    fn assemble(
-        scheme: &Scheme,
-        workload: &Workload,
-        params: &ExperimentParams,
-        be: Backend,
-        sources: Vec<RefSource>,
-    ) -> SystemSim {
-        let cores = sources
-            .into_iter()
-            .map(|mut src| {
-                let first = src.next_ref();
-                Core {
-                    src,
-                    pending: Some((first, Cycle(first.gap))),
+        let (be, _) = Backend::build(scheme, workload, params, "system")?;
+        let mut cores = TraceCores {
+            cores: (0..trace.cores())
+                .map(|core| Core {
+                    refs: RefCursor::new(Arc::clone(trace), core),
+                    pending: None,
                     blocked: false,
                     refs_done: 0,
-                    instructions: first.gap,
+                    instructions: 0,
                     finish: None,
-                }
-            })
-            .collect();
-        SystemSim {
+                })
+                .collect(),
+        };
+        for core in 0..trace.cores() {
+            cores.next_ref(core, Cycle::ZERO);
+        }
+        Ok(SystemSim {
             scheme: scheme.clone(),
             workload_name: workload.name().to_owned(),
             be,
-            cores: TraceCores {
-                cores,
-                quota: params.refs_per_core,
-            },
-        }
+            cores,
+        })
     }
 
     /// Immutable access to the controller (tests, diagnostics).
@@ -207,19 +189,16 @@ impl TraceCores {
     }
 
     /// Prepares the core's next reference after time `at`, or marks it
-    /// finished.
+    /// finished once its trace, `refs_per_core` references long, is spent.
     fn next_ref(&mut self, core: usize, at: Cycle) {
         let c = &mut self.cores[core];
-        if c.refs_done >= self.quota {
-            if c.finish.is_none() {
-                c.finish = Some(at);
+        c.pending = c.refs.next().map(|r| (r, at + Cycle(r.gap)));
+        match c.pending {
+            Some((r, _)) => c.instructions += r.gap,
+            None => {
+                c.finish.get_or_insert(at);
             }
-            c.pending = None;
-            return;
         }
-        let r = c.src.next_ref();
-        c.instructions += r.gap;
-        c.pending = Some((r, at + Cycle(r.gap)));
     }
 }
 
@@ -349,6 +328,75 @@ mod tests {
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.ctrl.ecp_records.get(), b.ctrl.ecp_records.get());
         assert_eq!(a.wear, b.wear);
+    }
+
+    #[test]
+    fn every_constructor_reports_build_time_errors() {
+        use crate::error::ConfigError;
+        use sdpcm_trace::BenchmarkProfile;
+
+        let scheme = Scheme::lazyc();
+        let quick = ExperimentParams {
+            refs_per_core: 10,
+            ..ExperimentParams::quick_test()
+        };
+        let mcf = Workload::homogeneous(BenchKind::Mcf);
+        // Eight 4 GB working sets: far past the 8 GB device.
+        let huge = Workload::mixed(
+            "huge",
+            vec![
+                BenchmarkProfile {
+                    ws_pages: 1 << 20,
+                    ..BenchKind::Mcf.profile()
+                };
+                8
+            ],
+        );
+        let too_large = quick.geometry_for(&huge, scheme.ratio).unwrap_err();
+        assert!(matches!(too_large, ConfigError::WorkloadTooLarge { .. }));
+        let cases = [
+            (
+                &mcf,
+                ExperimentParams {
+                    refs_per_core: 0,
+                    ..quick
+                },
+                ConfigError::ZeroField {
+                    field: "refs_per_core",
+                },
+            ),
+            (
+                &mcf,
+                ExperimentParams {
+                    write_queue_cap: 0,
+                    ..quick
+                },
+                ConfigError::ZeroField {
+                    field: "write_queue_cap",
+                },
+            ),
+            (&huge, quick, too_large),
+        ];
+        for (workload, params, want) in cases {
+            let trace = Arc::new(RefTrace::capture(
+                workload,
+                params.seed,
+                params.refs_per_core,
+            ));
+            let mut built = vec![
+                SystemSim::build_workload(&scheme, workload, &params),
+                SystemSim::build_replay(&scheme, workload, &params, &trace),
+            ];
+            // `build` runs eight copies of one benchmark, so it cannot
+            // ask for the oversized mix.
+            if *workload == mcf {
+                built.push(SystemSim::build(&scheme, BenchKind::Mcf, &params));
+            }
+            for got in built {
+                let err = got.expect_err("a degenerate build must fail");
+                assert_eq!(err, SdpcmError::Config(want), "{}", workload.name());
+            }
+        }
     }
 
     #[test]

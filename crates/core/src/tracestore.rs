@@ -81,11 +81,7 @@ impl TraceStore {
     /// for different keys never block each other.
     #[must_use]
     pub fn get(&self, workload: &Workload, seed: u64, refs_per_core: u64) -> Arc<RefTrace> {
-        let meta = TraceMeta {
-            workload: workload.name().to_owned(),
-            seed,
-            refs_per_core,
-        };
+        let meta = TraceMeta::of(workload, seed, refs_per_core);
         let key = meta.content_key();
         let slot = {
             let mut slots = self.slots.lock().expect("trace store poisoned");

@@ -314,26 +314,48 @@ impl SimRng {
         (u.ln() / (1.0 - p).ln()).floor() as u64
     }
 
-    /// A Poisson draw with mean `lambda`, via inversion (adequate for the
-    /// small means used by the wear model and the write-size draws).
+    /// A Poisson draw with mean `lambda`.
     ///
-    /// Inversion multiplies uniforms until the product drops to
-    /// `exp(-lambda)`, about `lambda + 1` of them. They are drawn eight
-    /// at a time with [`SimRng::fill`] (the first chunk sized to the
-    /// expected count when that is smaller), so their Philox blocks
-    /// overlap; the cursor then moves back to just past the draws the
-    /// one-at-a-time loop would have consumed, and the draws computed
-    /// beyond them are discarded. Value and cursor are those of the
-    /// sequential form, which survives as the test oracle.
+    /// Means up to [`POISSON_INVERSION_MAX`] use inversion, which
+    /// multiplies uniforms until the product drops to `exp(-lambda)`,
+    /// about `lambda + 1` of them. They are drawn eight at a time with
+    /// [`SimRng::fill`] (the first chunk sized to the expected count when
+    /// that is smaller), so their Philox blocks overlap; the cursor then
+    /// moves back to just past the draws the one-at-a-time loop would
+    /// have consumed, and the draws computed beyond them are discarded.
+    /// Value and cursor are those of the sequential form, which survives
+    /// as the test oracle.
+    ///
+    /// Past about 745, `exp(-lambda)` underflows to 0.0 and inversion
+    /// could only stop on an underflowed product, capping every draw near
+    /// 745. A larger mean is therefore split into the fewest equal parts
+    /// no larger than [`POISSON_INVERSION_MAX`], and the draw is the sum
+    /// of one inversion per part: a sum of independent Poisson variables
+    /// is Poisson with the summed mean, so the result is exact. A draw
+    /// costs about `lambda` uniforms either way.
     ///
     /// # Panics
     ///
-    /// Panics if `lambda` is negative or not finite.
+    /// Panics if `lambda` is negative, not finite, or above
+    /// [`POISSON_MEAN_MAX`].
     pub fn poisson(&mut self, lambda: f64) -> u64 {
         assert!(
-            lambda.is_finite() && lambda >= 0.0,
-            "poisson() requires a finite non-negative mean"
+            lambda.is_finite() && (0.0..=POISSON_MEAN_MAX).contains(&lambda),
+            "poisson() requires a finite mean in [0, {POISSON_MEAN_MAX:e}]"
         );
+        if lambda <= POISSON_INVERSION_MAX {
+            return self.poisson_inversion(lambda);
+        }
+        let parts = (lambda / POISSON_INVERSION_MAX).ceil();
+        let part = lambda / parts;
+        (0..parts as u64)
+            .map(|_| self.poisson_inversion(part))
+            .sum()
+    }
+
+    /// [`SimRng::poisson`] by batched inversion, for `lambda` up to
+    /// [`POISSON_INVERSION_MAX`].
+    fn poisson_inversion(&mut self, lambda: f64) -> u64 {
         if lambda == 0.0 {
             return 0;
         }
@@ -361,6 +383,16 @@ impl SimRng {
         }
     }
 }
+
+/// Largest mean [`SimRng::poisson`] draws by one inversion; larger means
+/// are split into parts no larger than this. `exp(-500)` is about
+/// 7e-218, far from the 745 where it underflows to zero.
+pub const POISSON_INVERSION_MAX: f64 = 500.0;
+
+/// Largest mean [`SimRng::poisson`] accepts. A draw consumes about
+/// `lambda` uniforms, so a larger mean is far more likely a unit error
+/// than a request for a draw costing more than a million of them.
+pub const POISSON_MEAN_MAX: f64 = 1e6;
 
 /// Draws [`SimRng::poisson`] computes per batch.
 const POISSON_CHUNK: usize = 8;
@@ -687,11 +719,10 @@ mod tests {
         k
     }
 
-    /// Means from the issue's sweep: zero, a near-zero mean whose first
+    /// Means the inversion serves: zero, a near-zero mean whose first
     /// draw almost always stops, the wear model's range, the write-size
-    /// means, and means so large that `exp(-lambda)` is 0.0 (the product
-    /// must underflow, or the valve fire, to stop).
-    const POISSON_LAMBDAS: [f64; 9] = [0.0, 1e-9, 0.5, 2.0, 12.0, 80.0, 96.0, 800.0, 1e300];
+    /// means, and the largest mean one inversion takes.
+    const POISSON_LAMBDAS: [f64; 8] = [0.0, 1e-9, 0.5, 2.0, 12.0, 80.0, 96.0, 500.0];
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
@@ -700,7 +731,7 @@ mod tests {
         fn batched_poisson_matches_sequential_oracle(
             seed in proptest::prelude::any::<u64>(),
             skip in 0u64..20,
-            li in 0usize..9,
+            li in 0usize..8,
         ) {
             let lambda = POISSON_LAMBDAS[li];
             let mut batched = SimRng::from_seed(seed);
@@ -732,19 +763,39 @@ mod tests {
     }
 
     #[test]
-    fn poisson_at_huge_means_stops_by_underflow() {
-        // exp(-lambda) is 0.0, so only an exact-zero product stops the
-        // inversion: about 745 halvings' worth of uniforms, far short of
-        // the k > 10_000 valve.
-        for lambda in [800.0_f64, 1e300] {
-            assert_eq!((-lambda).exp(), 0.0);
+    fn poisson_past_the_inversion_limit_keeps_mean_and_variance() {
+        // Inversion alone capped these near 745. Poisson variance equals
+        // the mean; both sample moments must land within five standard
+        // errors (the variance's relative standard error is √(2/n)).
+        for (lambda, n) in [
+            (745.0_f64, 2_000),
+            (800.0, 2_000),
+            (2_000.0, 1_000),
+            (1e4, 400),
+        ] {
             let mut r = SimRng::from_seed(12);
-            let mut oracle = r.clone();
-            let k = r.poisson(lambda);
-            assert_eq!(k, poisson_sequential(&mut oracle, lambda));
-            assert!((500..10_000).contains(&k), "k={k}");
-            assert_eq!(r.ctr, k + 1);
+            let draws: Vec<f64> = (0..n).map(|_| r.poisson(lambda) as f64).collect();
+            let nf = f64::from(n);
+            let mean = draws.iter().sum::<f64>() / nf;
+            let var = draws.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / (nf - 1.0);
+            assert!(
+                (mean - lambda).abs() < 5.0 * (lambda / nf).sqrt(),
+                "lambda={lambda} mean={mean}"
+            );
+            assert!(
+                (var / lambda - 1.0).abs() < 5.0 * (2.0 / nf).sqrt(),
+                "lambda={lambda} var={var}"
+            );
         }
+    }
+
+    #[test]
+    fn poisson_rejects_means_outside_its_range() {
+        for lambda in [-1.0, f64::NAN, f64::INFINITY, POISSON_MEAN_MAX * 1.5, 1e300] {
+            let r = std::panic::catch_unwind(|| SimRng::from_seed(3).poisson(lambda));
+            assert!(r.is_err(), "lambda={lambda} must panic");
+        }
+        assert!(SimRng::from_seed(3).poisson(POISSON_MEAN_MAX) > 0);
     }
 
     #[test]

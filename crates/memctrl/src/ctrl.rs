@@ -70,6 +70,16 @@ use crate::scheme::CtrlScheme;
 use crate::stats::CtrlStats;
 use crate::wearlevel::LineMap;
 
+/// Writes serviced per bursty drain before the bank is released back to
+/// reads. A full queue re-triggers immediately, so sustained write
+/// pressure degenerates to back-to-back bursts; light pressure gets
+/// short, bounded read-blocking windows regardless of queue capacity.
+pub const DRAIN_BURST: usize = 8;
+
+/// Latency of a read forwarded from the write queue, and of any answer
+/// served from controller buffers without an array operation.
+pub const FORWARD_LATENCY: Cycle = Cycle(20);
+
 /// Controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CtrlConfig {
@@ -77,15 +87,8 @@ pub struct CtrlConfig {
     pub timing: PcmTiming,
     /// Write-queue entries per bank (Table 2: 32).
     pub write_queue_cap: usize,
-    /// Writes serviced per bursty drain before the bank is released back
-    /// to reads. A full queue re-triggers immediately, so sustained write
-    /// pressure degenerates to back-to-back bursts; light pressure gets
-    /// short, bounded read-blocking windows regardless of queue capacity.
-    pub drain_burst: usize,
     /// Mechanism switches.
     pub scheme: CtrlScheme,
-    /// Latency of a read forwarded from the write queue.
-    pub forward_latency: Cycle,
     /// ECP entries per line (ECP-N; the paper's default is 6).
     pub ecp_entries: usize,
     /// Degradation ladder, rung 1: LazyCorrection exhaustion events a
@@ -97,7 +100,7 @@ pub struct CtrlConfig {
     /// Must exceed `ecp_retry_cap`.
     pub decommission_after: u32,
     /// Capacity of each bank's salvage pool (controller-held line
-    /// buffers serving decommissioned lines at `forward_latency`).
+    /// buffers serving decommissioned lines at [`FORWARD_LATENCY`]).
     /// Per bank so decommission decisions stay bank-local — a
     /// requirement of order-independent bank lanes.
     pub salvage_pool_lines: usize,
@@ -110,9 +113,7 @@ impl CtrlConfig {
         CtrlConfig {
             timing: PcmTiming::table2(),
             write_queue_cap: 32,
-            drain_burst: 8,
             scheme,
-            forward_latency: Cycle(20),
             ecp_entries: 6,
             ecp_retry_cap: 2,
             decommission_after: 8,
@@ -125,12 +126,6 @@ impl CtrlConfig {
         if self.write_queue_cap == 0 {
             return Err(CtrlError::InvalidConfig {
                 field: "write_queue_cap",
-                reason: "must be > 0",
-            });
-        }
-        if self.drain_burst == 0 {
-            return Err(CtrlError::InvalidConfig {
-                field: "drain_burst",
                 reason: "must be > 0",
             });
         }

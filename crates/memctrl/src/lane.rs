@@ -23,7 +23,7 @@ use sdpcm_wd::WdInjector;
 
 use crate::bank::{Bank, BankOp};
 use crate::calendar::DueQueue;
-use crate::ctrl::CtrlConfig;
+use crate::ctrl::{CtrlConfig, DRAIN_BURST, FORWARD_LATENCY};
 use crate::req::{Access, AccessKind, Completion, ReqId};
 use crate::stats::CtrlStats;
 use crate::writejob::{Side, Step, WqEntry, WriteJob, MAX_JOB_STEPS};
@@ -69,7 +69,7 @@ pub(crate) struct LaneState {
     /// DIN flags of lines in this bank.
     pub(crate) flags: FxHashMap<LineAddr, DinFlags>,
     /// Decommissioned lines and their architectural contents, served
-    /// from controller buffers at `forward_latency`.
+    /// from controller buffers at [`FORWARD_LATENCY`].
     pub(crate) salvaged: FxHashMap<LineAddr, LineBuf>,
     /// LazyCorrection exhaustion events per line (degradation ladder).
     /// A line past `ecp_retry_cap` is escalated: ECP buffering is no
@@ -216,17 +216,17 @@ impl Lane<'_, '_> {
 
     fn submit_read(&mut self, access: Access, now: Cycle) {
         // Decommissioned lines live in controller buffers: no bank
-        // operation, no disturbance, `forward_latency` to answer.
+        // operation, no disturbance, `FORWARD_LATENCY` to answer.
         if let Some(data) = self.ls.salvaged.get(&access.addr).copied() {
             self.ls.stats.salvaged_reads.inc();
-            self.complete_read(&access, now + self.sh.cfg.forward_latency, data);
+            self.complete_read(&access, now + FORWARD_LATENCY, data);
             return;
         }
         // Forward from the write queue (newest entry wins) or from the
         // write job in flight or paused.
         if let Some(data) = self.ls.bank.pending_data(access.addr, true) {
             self.ls.stats.read_forwards.inc();
-            self.complete_read(&access, now + self.sh.cfg.forward_latency, data);
+            self.complete_read(&access, now + FORWARD_LATENCY, data);
             return;
         }
         self.ls.bank.read_q.push_back(access);
@@ -241,7 +241,7 @@ impl Lane<'_, '_> {
         if let Some(buf) = self.ls.salvaged.get_mut(&access.addr) {
             *buf = data;
             self.ls.stats.salvaged_writes.inc();
-            self.push_completion(&access, now + self.sh.cfg.forward_latency, None);
+            self.push_completion(&access, now + FORWARD_LATENCY, None);
             return;
         }
         // Coalesce with a queued write to the same line.
@@ -274,7 +274,7 @@ impl Lane<'_, '_> {
             self.ls.stats.drains.inc();
             self.ls.bank.draining = true;
         }
-        self.ls.bank.drain_left = self.ls.bank.drain_left.max(self.sh.cfg.drain_burst);
+        self.ls.bank.drain_left = self.ls.bank.drain_left.max(DRAIN_BURST);
     }
 
     /// PreRead forwarding: if an adjacent line of `entry` has a pending

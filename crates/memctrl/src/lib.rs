@@ -57,7 +57,7 @@ pub mod stats;
 pub mod wearlevel;
 pub mod writejob;
 
-pub use ctrl::{CtrlConfig, MemoryController, Wake};
+pub use ctrl::{CtrlConfig, MemoryController, Wake, DRAIN_BURST, FORWARD_LATENCY};
 pub use error::{BankSnapshot, CtrlError, CtrlSnapshot};
 pub use req::{Access, AccessKind, Completion, ReqId};
 pub use scheme::CtrlScheme;

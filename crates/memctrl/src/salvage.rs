@@ -4,14 +4,15 @@
 //! A line whose LazyCorrection distress passes `decommission_after`
 //! leaves the array. Its architectural contents move into a
 //! controller-held buffer that serves its reads and absorbs its writes
-//! at `forward_latency`; it is never programmed again, so it can neither
-//! disturb nor be disturbed. Pools are per bank, which keeps every
+//! at [`crate::FORWARD_LATENCY`]; it is never programmed again, so it
+//! can neither disturb nor be disturbed. Pools are per bank, which keeps every
 //! decommission decision bank-local.
 
 use sdpcm_engine::Cycle;
 use sdpcm_pcm::geometry::{LineAddr, MemGeometry};
 use sdpcm_pcm::line::LineBuf;
 
+use crate::ctrl::FORWARD_LATENCY;
 use crate::lane::Lane;
 use crate::writejob::{Side, Step, WriteJob};
 
@@ -126,7 +127,7 @@ impl Lane<'_, '_> {
             if let Some(d) = e.access.kind.write_data() {
                 self.ls.salvaged.insert(line, d);
             }
-            self.push_completion(&e.access, at + self.sh.cfg.forward_latency, None);
+            self.push_completion(&e.access, at + FORWARD_LATENCY, None);
         }
         true
     }

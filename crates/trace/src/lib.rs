@@ -22,8 +22,10 @@
 //!   one copy of a program in its own address space, as in §5.2.
 //! * [`reftrace`] — capture-once/replay-many: a [`reftrace::RefTrace`]
 //!   is the workload's post-cache reference stream recorded per core
-//!   (kind, virtual line, instruction gap, payload toggle mask), shared
-//!   by every scheme cell of a sweep instead of being regenerated.
+//!   (kind, virtual line, instruction gap, payload toggle mask). Capture
+//!   is the only place the generators run; the full-system simulator
+//!   always replays a capture, shared by every scheme cell of a sweep,
+//!   and a [`reftrace::RefCursor`] is the only decoder of its streams.
 //! * [`wire`] — the hand-rolled little-endian serialization behind the
 //!   on-disk trace cache: length-prefixed fields, a schema version, and
 //!   a trailing FNV-1a digest that rejects corrupt or stale files.
@@ -45,7 +47,7 @@ pub use addr::{AccessPattern, AddressStream};
 pub use gen::{MemRef, TraceGenerator};
 pub use profiles::{BenchKind, BenchmarkProfile};
 pub use reftrace::{
-    toggle_mask, RefSource, RefTrace, ToggleMask, TraceMeta, TraceRef, TRACE_SCHEMA_VERSION,
+    toggle_mask, RefCursor, RefTrace, ToggleMask, TraceMeta, TraceRef, TRACE_SCHEMA_VERSION,
 };
 pub use stream::StreamKernels;
 pub use workload::Workload;

@@ -22,31 +22,33 @@
 //! * Payloads as toggle masks. A write's payload is "the line's newest
 //!   architectural value XOR a recorded toggle mask". The architectural
 //!   value evolves in per-core program order (cores own disjoint
-//!   address spaces), so both the inline and the replay path compute
+//!   address spaces), so every replay of a capture computes
 //!   bit-identical payloads at issue time without recording any
 //!   scheme-dependent device state.
 //!
-//! [`RefSource`] is the single front end the full-system simulator
-//! pulls from: `Live` draws from the generators (and is what capture
-//! drains), `Replay` walks a captured trace. Both yield byte-identical
-//! [`TraceRef`] sequences, which is what the golden replay tests pin.
+//! # One path
+//!
+//! [`RefTrace::capture`] is the only place references are generated,
+//! and the full-system simulator always replays a capture. A
+//! [`RefCursor`] is the only decoder of a core's stream, for the
+//! simulator's cores and for [`RefTrace::refs`] alike.
 //!
 //! # Capture and storage
 //!
-//! * Parallel capture. The per-core sources are derived serially from
-//!   the system RNG, the same chain the live simulator walks; after
-//!   that each source draws only from its own counter-based streams, so
-//!   [`RefTrace::capture`] drains them on several threads and the bytes
-//!   cannot depend on the thread count or schedule.
+//! * Parallel capture. The per-core streams are derived serially from
+//!   the capture's root RNG; after that each core draws only from its
+//!   own counter-based streams, so [`RefTrace::capture`] drains them on
+//!   several threads and the bytes cannot depend on the thread count or
+//!   schedule.
 //! * Batched draws. Poisson write sizes ([`SimRng::poisson`]) and
 //!   toggle positions ([`toggle_mask`]) compute their Philox blocks in
 //!   batches and consume exactly the draws of the one-at-a-time loops.
 //! * Compact records. A core's references are one var-int byte stream,
 //!   in memory and on disk alike (layout under
-//!   [`TRACE_SCHEMA_VERSION`]); replay decodes by byte offset and hands
-//!   out the decoded [`TraceRef`].
+//!   [`TRACE_SCHEMA_VERSION`]), decoded record by record on replay.
 
-use std::sync::Arc;
+use std::fmt;
+use std::ops::Deref;
 
 use sdpcm_engine::par::parallel_map;
 use sdpcm_engine::SimRng;
@@ -105,6 +107,16 @@ pub struct TraceMeta {
 }
 
 impl TraceMeta {
+    /// The identity of `workload`'s capture at `seed` and `refs_per_core`.
+    #[must_use]
+    pub fn of(workload: &Workload, seed: u64, refs_per_core: u64) -> TraceMeta {
+        TraceMeta {
+            workload: workload.name().to_owned(),
+            seed,
+            refs_per_core,
+        }
+    }
+
     /// Content hash of `(workload, seed, refs_per_core, schema)` — the
     /// on-disk cache key. Stable across runs and platforms.
     #[must_use]
@@ -115,6 +127,13 @@ impl TraceMeta {
         w.put_u64(self.seed);
         w.put_u64(self.refs_per_core);
         crate::wire::fnv1a(&w.finish())
+    }
+}
+
+/// `workload/seed/refs_per_core`.
+impl fmt::Display for TraceMeta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}/{}", self.workload, self.seed, self.refs_per_core)
     }
 }
 
@@ -216,14 +235,11 @@ fn decode_ref(bytes: &[u8], mut pos: usize) -> Result<(TraceRef, usize), WireErr
 
 impl RefTrace {
     /// Captures the post-cache stream of `workload` by draining the
-    /// live generators — the PCM backend is never built. Mirrors the
-    /// full-system simulator's RNG derivation chain exactly, so a
-    /// `Live` source and a `Replay` of this capture yield identical
-    /// reference sequences.
+    /// per-core generators and payload-toggle streams — the PCM backend
+    /// is never built.
     ///
-    /// The per-core sources are derived serially, exactly as the live
-    /// simulator derives them; each source then draws only from its own
-    /// counter-based streams, so draining them on
+    /// The per-core streams are derived serially; each then draws only
+    /// from its own counter-based streams, so draining them on
     /// `min(cores, available_parallelism)` workers yields the same bytes
     /// as draining them one after another.
     #[must_use]
@@ -235,26 +251,42 @@ impl RefTrace {
     /// [`RefTrace::capture`] on at most `workers` threads; the output
     /// does not depend on `workers`.
     fn capture_on(workload: &Workload, seed: u64, refs_per_core: u64, workers: usize) -> RefTrace {
+        // The `"system"` root, the skipped `"ctrl"` draw and the
+        // `"traces"`/`"payloads"` children are kept only so that no pinned
+        // golden moves. No other module derives from this chain, so it is
+        // no longer a contract between two modules.
         let mut rng = SimRng::from_seed_label(seed, "system");
-        // The live system derives its controller stream first; consume
-        // the same draw to keep the chain aligned.
         let _ = rng.derive("ctrl");
-        let sources = RefSource::live_sources(workload, &mut rng);
-        let cores = parallel_map(&sources, workers.min(sources.len()), |src| {
-            let mut src = src.clone();
+        let gens = workload.generators(rng.derive("traces"));
+        let mut payload_root = rng.derive("payloads");
+        let sources: Vec<(TraceGenerator, SimRng)> = gens
+            .into_iter()
+            .enumerate()
+            .map(|(core, gen)| (gen, payload_root.derive(&format!("core{core}"))))
+            .collect();
+        let cores = parallel_map(&sources, workers.min(sources.len()), |(gen, toggles)| {
+            let (mut gen, mut toggles) = (gen.clone(), toggles.clone());
             let mut core = CoreStream::default();
             for _ in 0..refs_per_core {
-                core.push(&src.next_ref());
+                let r = gen.next_ref();
+                let mask = if r.is_write {
+                    toggle_mask(&mut toggles, usize::from(r.flip_bits))
+                } else {
+                    [0u64; MASK_WORDS]
+                };
+                core.push(&TraceRef {
+                    gap: r.gap,
+                    vpage: r.vpage,
+                    slot: r.slot,
+                    is_write: r.is_write,
+                    mask,
+                });
             }
             core.bytes.shrink_to_fit();
             core
         });
         RefTrace {
-            meta: TraceMeta {
-                workload: workload.name().to_owned(),
-                seed,
-                refs_per_core,
-            },
+            meta: TraceMeta::of(workload, seed, refs_per_core),
             cores,
         }
     }
@@ -270,16 +302,9 @@ impl RefTrace {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn refs(&self, core: usize) -> impl Iterator<Item = TraceRef> + '_ {
-        let bytes = &self.cores[core].bytes;
-        let mut pos = 0;
-        std::iter::from_fn(move || {
-            (pos < bytes.len()).then(|| {
-                let (r, next) = decode_ref(bytes, pos).expect("trace streams are well-formed");
-                pos = next;
-                r
-            })
-        })
+    #[must_use]
+    pub fn refs(&self, core: usize) -> RefCursor<&RefTrace> {
+        RefCursor::new(self, core)
     }
 
     /// Total references across all cores.
@@ -377,95 +402,47 @@ pub fn toggle_mask(rng: &mut SimRng, flips: usize) -> ToggleMask {
     mask
 }
 
-/// A per-core reference front end: live generation or trace replay.
-/// The full-system simulator pulls from this uniformly, so the replay
-/// path shares every line of issue/blocking logic with inline
-/// generation — bit-identity is structural, not coincidental.
+/// A replay cursor: walks one core's record stream in program order,
+/// decoding each record as it is reached. It is the only walker of a
+/// trace's streams. `T` holds the trace: `&RefTrace` for
+/// [`RefTrace::refs`], `Arc<RefTrace>` for a simulator core that shares
+/// one capture with other cells.
 #[derive(Debug, Clone)]
-pub enum RefSource {
-    /// Draw from the generator; payload toggles come from a per-core
-    /// mask stream.
-    Live {
-        /// The core's reference generator.
-        gen: TraceGenerator,
-        /// The core's payload-toggle stream.
-        mask_rng: SimRng,
-    },
-    /// Walk a captured trace.
-    Replay {
-        /// The shared capture.
-        trace: Arc<RefTrace>,
-        /// Which core's sequence to walk.
-        core: usize,
-        /// Byte offset of the next record in the core's stream.
-        pos: usize,
-    },
+pub struct RefCursor<T> {
+    trace: T,
+    core: usize,
+    /// Byte offset of the next record in the core's stream.
+    pos: usize,
 }
 
-impl RefSource {
-    /// Builds the eight live per-core sources from the system's parent
-    /// RNG (after its controller stream has been derived). Capture uses
-    /// the same constructor, so the derive chain cannot drift between
-    /// the two paths.
-    #[must_use]
-    pub fn live_sources(workload: &Workload, rng: &mut SimRng) -> Vec<RefSource> {
-        let gens = workload.generators(rng.derive("traces"));
-        let mut payload_root = rng.derive("payloads");
-        gens.into_iter()
-            .enumerate()
-            .map(|(core, gen)| RefSource::Live {
-                gen,
-                mask_rng: payload_root.derive(&format!("core{core}")),
-            })
-            .collect()
-    }
-
-    /// Builds per-core replay sources over a shared capture.
-    #[must_use]
-    pub fn replay_sources(trace: &Arc<RefTrace>) -> Vec<RefSource> {
-        (0..trace.cores())
-            .map(|core| RefSource::Replay {
-                trace: Arc::clone(trace),
-                core,
-                pos: 0,
-            })
-            .collect()
-    }
-
-    /// The next reference of this core.
+impl<T: Deref<Target = RefTrace>> RefCursor<T> {
+    /// A cursor at the first reference of `core`.
     ///
     /// # Panics
     ///
-    /// Panics when a replay source is pulled past the end of its
-    /// recorded sequence (the consumer's quota must match the capture).
-    pub fn next_ref(&mut self) -> TraceRef {
-        match self {
-            RefSource::Live { gen, mask_rng } => {
-                let r = gen.next_ref();
-                let mask = if r.is_write {
-                    toggle_mask(mask_rng, usize::from(r.flip_bits))
-                } else {
-                    [0u64; MASK_WORDS]
-                };
-                TraceRef {
-                    gap: r.gap,
-                    vpage: r.vpage,
-                    slot: r.slot,
-                    is_write: r.is_write,
-                    mask,
-                }
-            }
-            RefSource::Replay { trace, core, pos } => {
-                let bytes = &trace.cores[*core].bytes;
-                assert!(
-                    *pos < bytes.len(),
-                    "core {core} replay exhausted at byte {pos}"
-                );
-                let (r, next) = decode_ref(bytes, *pos).expect("trace streams are well-formed");
-                *pos = next;
-                r
-            }
+    /// Panics if `core` is out of range.
+    pub fn new(trace: T, core: usize) -> RefCursor<T> {
+        assert!(core < trace.cores(), "core {core} is out of range");
+        RefCursor {
+            trace,
+            core,
+            pos: 0,
         }
+    }
+}
+
+impl<T: Deref<Target = RefTrace>> Iterator for RefCursor<T> {
+    type Item = TraceRef;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceRef> {
+        let bytes = &self.trace.cores[self.core].bytes;
+        if self.pos >= bytes.len() {
+            return None;
+        }
+        let (r, next) = decode_ref(bytes, self.pos).expect("trace streams are well-formed");
+        self.pos = next;
+        Some(r)
     }
 }
 
@@ -476,23 +453,6 @@ mod tests {
 
     fn capture_small() -> RefTrace {
         RefTrace::capture(&Workload::homogeneous(BenchKind::Mcf), 0x5d9c, 200)
-    }
-
-    #[test]
-    fn live_and_replay_sources_agree() {
-        let workload = Workload::homogeneous(BenchKind::Lbm);
-        let trace = Arc::new(RefTrace::capture(&workload, 42, 300));
-        let mut rng = SimRng::from_seed_label(42, "system");
-        let _ = rng.derive("ctrl");
-        let mut live = RefSource::live_sources(&workload, &mut rng);
-        let mut replay = RefSource::replay_sources(&trace);
-        for core in 0..live.len() {
-            for i in 0..300 {
-                let a = live[core].next_ref();
-                let b = replay[core].next_ref();
-                assert_eq!(a, b, "core {core} ref {i}");
-            }
-        }
     }
 
     #[test]
@@ -554,22 +514,19 @@ mod tests {
         ));
     }
 
-    /// The pre-batching capture, kept as the oracle: drain each live
-    /// source one after another, drawing toggles one `index(512)` at a
-    /// time, into decoded records.
+    /// The pre-batching capture, kept as the oracle: walk the capture's
+    /// derivation chain, then drain each core's generator one after
+    /// another, drawing toggles one `index(512)` at a time, into decoded
+    /// records.
     fn serial_oracle(workload: &Workload, seed: u64, refs_per_core: u64) -> Vec<Vec<TraceRef>> {
         let mut rng = SimRng::from_seed_label(seed, "system");
         let _ = rng.derive("ctrl");
-        RefSource::live_sources(workload, &mut rng)
-            .into_iter()
-            .map(|src| {
-                let RefSource::Live {
-                    mut gen,
-                    mut mask_rng,
-                } = src
-                else {
-                    unreachable!("live_sources builds live sources")
-                };
+        let gens = workload.generators(rng.derive("traces"));
+        let mut payload_root = rng.derive("payloads");
+        gens.into_iter()
+            .enumerate()
+            .map(|(core, mut gen)| {
+                let mut mask_rng = payload_root.derive(&format!("core{core}"));
                 (0..refs_per_core)
                     .map(|_| {
                         let r = gen.next_ref();
@@ -874,17 +831,19 @@ mod tests {
     }
 
     #[test]
-    fn replay_past_end_panics() {
-        let trace = Arc::new(RefTrace::capture(
+    fn shared_cursor_walks_exactly_the_recorded_stream() {
+        let trace = std::sync::Arc::new(RefTrace::capture(
             &Workload::homogeneous(BenchKind::Wrf),
             7,
             5,
         ));
-        let mut src = RefSource::replay_sources(&trace);
-        for _ in 0..5 {
-            let _ = src[0].next_ref();
+        for core in 0..trace.cores() {
+            let mut shared = RefCursor::new(std::sync::Arc::clone(&trace), core);
+            let walked: Vec<TraceRef> = shared.by_ref().take(5).collect();
+            assert_eq!(walked, trace.refs(core).collect::<Vec<_>>());
+            assert_eq!(shared.next(), None, "core {core} ends after its quota");
         }
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| src[0].next_ref()));
-        assert!(r.is_err());
+        let r = std::panic::catch_unwind(|| RefCursor::new(&*trace, trace.cores()));
+        assert!(r.is_err(), "a cursor past the last core must not exist");
     }
 }

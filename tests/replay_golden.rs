@@ -1,12 +1,14 @@
 //! Golden determinism contract of the capture/replay layer.
 //!
-//! The whole point of capture-once/replay-many is that it changes only
-//! *wall-clock time*, never *results*: for every scheme the paper
-//! compares, a replayed run must reproduce the inline run bit for bit —
-//! the full `RunStats` (cycles, controller counters, wear, energy) and
-//! the device's final content digest — at any sweep worker count. These
-//! tests pin that contract; if one fails, replay mode is simulating a
-//! different experiment and every figure built on it is suspect.
+//! The whole point of capture-once/replay-many is that sharing a capture
+//! changes only *wall-clock time*, never *results*: for every scheme the
+//! paper compares, a run over one capture shared by many cells must
+//! reproduce a cell that captures its own trace (`SystemSim::build`, the
+//! "inline" cell below) bit for bit — the full `RunStats` (cycles,
+//! controller counters, wear, energy) and the device's final content
+//! digest — at any sweep worker count. These tests pin that contract; if
+//! one fails, a shared capture is simulating a different experiment and
+//! every figure built on it is suspect.
 
 use std::sync::Arc;
 
@@ -23,7 +25,8 @@ fn tiny() -> ExperimentParams {
     }
 }
 
-/// Inline run of one cell: stats plus the device content digest.
+/// One cell built through `SystemSim::build`, which captures a trace
+/// for this cell alone: stats plus the device content digest.
 fn inline_cell(scheme: &Scheme, bench: BenchKind, params: &ExperimentParams) -> (String, u64) {
     let mut sim = SystemSim::build(scheme, bench, params).unwrap();
     let stats = sim.run().unwrap();
@@ -55,7 +58,7 @@ fn every_figure11_scheme_replays_bit_identically_at_any_worker_count() {
     let bench = BenchKind::Mcf;
     let schemes = Scheme::figure11_set();
 
-    // Sequential inline reference, one run per scheme.
+    // Sequential reference, one per-cell capture per scheme.
     let reference: Vec<(String, u64)> = schemes
         .iter()
         .map(|s| inline_cell(s, bench, &params))
@@ -93,8 +96,6 @@ fn trace_store_cells_match_inline_cells() {
     }
 }
 
-/// Inline hierarchy run of one cell: stats, PCM traffic, and the device
-/// content digest.
 #[test]
 fn replay_rejects_a_trace_captured_for_another_run() {
     // A trace is only valid for the (workload, seed, refs_per_core) it was
@@ -121,6 +122,8 @@ fn replay_rejects_a_trace_captured_for_another_run() {
     assert!(SystemSim::build_replay(&Scheme::lazyc(), &wl, &params, &trace).is_ok());
 }
 
+/// Hierarchy run of one cell: stats, PCM traffic, and the device
+/// content digest.
 fn hier_cell(scheme: &Scheme, params: &ExperimentParams) -> (String, (u64, u64), u64) {
     let hparams = HierarchyParams::quick_test();
     let mut sim = HierarchySim::build(scheme.clone(), BenchKind::Mcf, params, &hparams).unwrap();
