@@ -113,15 +113,9 @@ fn ecp_sweep(params: &ExperimentParams) -> Vec<exp::EcpSweepRow> {
     exp::fig12_13(params, &[0, 2, 4, 6, 8, 10])
 }
 
-/// Figure 12: corrections per write vs ECP entries.
+/// Figure 12: corrections per write vs ECP entries, with its bar-chart series.
 #[must_use]
-pub fn fig12(params: &ExperimentParams) -> TextTable {
-    fig12_full(params).0
-}
-
-/// Figure 12 with its bar-chart series.
-#[must_use]
-pub fn fig12_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
+pub fn fig12(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
     let mut t = TextTable::new(&["ECP entries", "corrections/write"]);
     let mut series = Vec::new();
     for r in ecp_sweep(params) {
@@ -134,15 +128,9 @@ pub fn fig12_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) 
     (t, series)
 }
 
-/// Figure 13: speedup vs ECP entries.
+/// Figure 13: speedup vs ECP entries, with its bar-chart series.
 #[must_use]
-pub fn fig13(params: &ExperimentParams) -> TextTable {
-    fig13_full(params).0
-}
-
-/// Figure 13 with its bar-chart series.
-#[must_use]
-pub fn fig13_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
+pub fn fig13(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
     let mut t = TextTable::new(&["ECP entries", "speedup vs ECP-0"]);
     let mut series = Vec::new();
     for r in ecp_sweep(params) {
@@ -152,15 +140,9 @@ pub fn fig13_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) 
     (t, series)
 }
 
-/// Figure 14: performance over the DIMM lifetime.
+/// Figure 14: performance over the DIMM lifetime, with its bar-chart series.
 #[must_use]
-pub fn fig14(params: &ExperimentParams) -> TextTable {
-    fig14_full(params).0
-}
-
-/// Figure 14 with its bar-chart series.
-#[must_use]
-pub fn fig14_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
+pub fn fig14(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
     let mut t = TextTable::new(&["lifetime consumed", "speedup vs fresh"]);
     let mut series = Vec::new();
     for r in exp::fig14(params, &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0]) {
@@ -170,15 +152,9 @@ pub fn fig14_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) 
     (t, series)
 }
 
-/// Figure 15: write-queue-size sensitivity.
+/// Figure 15: write-queue-size sensitivity, with its bar-chart series.
 #[must_use]
-pub fn fig15(params: &ExperimentParams) -> TextTable {
-    fig15_full(params).0
-}
-
-/// Figure 15 with its bar-chart series.
-#[must_use]
-pub fn fig15_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
+pub fn fig15(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
     let mut t = TextTable::new(&["write queue entries", "LazyC+PreRead speedup vs DIN"]);
     let mut series = Vec::new();
     for r in exp::fig15(params, &[8, 16, 32, 64]) {
@@ -188,15 +164,9 @@ pub fn fig15_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) 
     (t, series)
 }
 
-/// Figure 16: (n:m) ratio sensitivity.
+/// Figure 16: (n:m) ratio sensitivity, with its bar-chart series.
 #[must_use]
-pub fn fig16(params: &ExperimentParams) -> TextTable {
-    fig16_full(params).0
-}
-
-/// Figure 16 with its bar-chart series.
-#[must_use]
-pub fn fig16_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
+pub fn fig16(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
     let mut t = TextTable::new(&["allocator", "speedup vs DIN", "usable capacity"]);
     let mut series = Vec::new();
     let ratios = [
@@ -216,15 +186,9 @@ pub fn fig16_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) 
     (t, series)
 }
 
-/// Figure 17: data-chip lifetime.
+/// Figure 17: data-chip lifetime, with its bar-chart series.
 #[must_use]
-pub fn fig17(params: &ExperimentParams) -> TextTable {
-    fig17_full(params).0
-}
-
-/// Figure 17 with its bar-chart series.
-#[must_use]
-pub fn fig17_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
+pub fn fig17(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
     let mut t = TextTable::new(&["bench", "normalized data-chip lifetime"]);
     let mut series = Vec::new();
     for r in exp::fig17_18(params) {
@@ -234,15 +198,9 @@ pub fn fig17_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) 
     (t, series)
 }
 
-/// Figure 18: ECP-chip lifetime.
+/// Figure 18: ECP-chip lifetime, with its bar-chart series.
 #[must_use]
-pub fn fig18(params: &ExperimentParams) -> TextTable {
-    fig18_full(params).0
-}
-
-/// Figure 18 with its bar-chart series.
-#[must_use]
-pub fn fig18_full(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
+pub fn fig18(params: &ExperimentParams) -> (TextTable, Vec<(String, f64)>) {
     let mut t = TextTable::new(&["bench", "normalized ECP-chip lifetime"]);
     let mut series = Vec::new();
     for r in exp::fig17_18(params) {

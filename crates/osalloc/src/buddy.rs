@@ -2,8 +2,8 @@
 //!
 //! The OS baseline of §4.4: free blocks of 2^order pages kept in
 //! per-order lists; allocation splits larger blocks, freeing merges
-//! buddies back together. [`crate::nmalloc`] layers the (n:m) free-list
-//! arrays on top of this.
+//! buddies back together. [`crate::nmalloc`] layers the (n:m) frame
+//! pools on top of this.
 
 use std::collections::BTreeSet;
 

@@ -30,23 +30,22 @@ impl DmaController {
     /// Produces the physical frame sequence of a DMA transfer of
     /// `frames` pages starting at `base_frame`, under `ratio`.
     ///
-    /// Under (1:1) the walk is dense. Under (1:2) the controller skips
-    /// marked (odd) strips, so the transfer spans twice the physical
-    /// range but touches only usable frames.
+    /// The controller hops over every strip the ratio marks
+    /// ([`NmRatio::is_nouse_strip`]): under (1:1) the walk is dense;
+    /// under (1:2) it skips every other strip, so the transfer spans
+    /// twice the physical range but touches only usable frames.
     ///
     /// # Errors
     ///
-    /// Returns `Err` if the ratio is not DMA-capable or, under (1:2),
-    /// the base frame lies in a marked strip.
+    /// Returns `Err` if the ratio is not DMA-capable or the base frame
+    /// lies in a marked strip.
     pub fn walk(&self, ratio: NmRatio, base_frame: u64, frames: u64) -> Result<Vec<u64>, DmaError> {
         if !self.supports(ratio) {
             return Err(DmaError::UnsupportedRatio(ratio));
         }
-        if ratio == NmRatio::one_one() {
-            return Ok((base_frame..base_frame + frames).collect());
-        }
         let strip_pages = PAGES_PER_STRIP as u64;
-        if (base_frame / strip_pages) % 2 == 1 {
+        let marked = |f: u64| ratio.is_nouse_strip(f / strip_pages);
+        if marked(base_frame) {
             return Err(DmaError::BaseInMarkedStrip(base_frame));
         }
         let mut out = Vec::with_capacity(frames as usize);
@@ -54,7 +53,7 @@ impl DmaController {
         while (out.len() as u64) < frames {
             out.push(f);
             f += 1;
-            if (f / strip_pages) % 2 == 1 {
+            while marked(f) {
                 f += strip_pages; // hop over the marked strip
             }
         }
@@ -67,7 +66,7 @@ impl DmaController {
 pub enum DmaError {
     /// The allocator ratio cannot back a DMA buffer.
     UnsupportedRatio(NmRatio),
-    /// A (1:2) transfer must start in a used (even) strip.
+    /// A transfer must start in a strip its ratio uses.
     BaseInMarkedStrip(u64),
 }
 
@@ -104,17 +103,27 @@ mod tests {
         // 14, 15, then hop strip 1 (16..31), continue at 32.
         let w = d.walk(NmRatio::one_two(), 14, 6).unwrap();
         assert_eq!(w, vec![14, 15, 32, 33, 34, 35]);
-        // Every produced frame is in an even strip.
-        assert!(w.iter().all(|f| (f / 16) % 2 == 0));
     }
 
     #[test]
-    fn one_two_long_walk_stays_usable() {
+    fn one_two_long_walk_visits_every_even_strip() {
         let d = DmaController::new();
         let w = d.walk(NmRatio::one_two(), 0, 100).unwrap();
-        assert_eq!(w.len(), 100);
-        assert!(w.iter().all(|f| (f / 16) % 2 == 0));
-        assert!(w.windows(2).all(|p| p[0] < p[1]), "monotone");
+        let even_strips: Vec<u64> = (0..7).flat_map(|s| 32 * s..32 * s + 16).collect();
+        assert_eq!(w, even_strips[..100]);
+    }
+
+    #[test]
+    fn one_two_walk_keeps_alternating_across_a_64mb_block() {
+        // A 64 MB block holds 1,024 strips, an even number, so the
+        // per-block marking continues the device-wide even/odd pattern.
+        let d = DmaController::new();
+        let w = d.walk(NmRatio::one_two(), 1022 * 16, 48).unwrap();
+        let expect: Vec<u64> = [1022u64, 1024, 1026]
+            .iter()
+            .flat_map(|s| s * 16..s * 16 + 16)
+            .collect();
+        assert_eq!(w, expect);
     }
 
     #[test]

@@ -1,14 +1,23 @@
-//! The WD-aware page allocator: (n:m) free-list arrays over the buddy
-//! system (paper §4.4, Figure 10).
+//! The WD-aware page allocator: (n:m) frame pools over the buddy system
+//! (paper §4.4, Figure 10).
 //!
-//! The OS keeps the baseline buddy allocator as `Free-(1:1)`. Each
-//! requested `(n:m)` allocator (n ≠ m) owns a separate pool fed with
-//! 64 MB blocks taken from `Free-(1:1)` (or the device's largest block on
-//! scaled-down test geometries); within those blocks only the strips the
-//! ratio leaves unmarked are ever handed out — marked strips become
-//! internal thermal bands. Freeing returns frames to the pool; when every
-//! usable frame of a feeding block is free again the block is reclaimed
-//! into `Free-(1:1)` (the paper's fragmentation-reduction path).
+//! The OS keeps the baseline buddy allocator as `Free-(1:1)`, and (1:1)
+//! requests take single frames straight from it. Every other `(n:m)`
+//! ratio owns a pool of free frames, fed with one aligned block at a
+//! time from `Free-(1:1)`: 64 MB on real geometry, a quarter of the
+//! device on scaled-down test geometries. Only frames in strips the ratio
+//! leaves unmarked ([`NmRatio::is_nouse_strip`]) enter the pool; the
+//! marked strips stay inside the block as thermal bands. A pool hands out
+//! its lowest free frame first, so allocation is deterministic, and the
+//! frames of one request need not be contiguous: the page table maps
+//! them. Freeing returns frames to their pool, and once every usable
+//! frame of a block is free again the whole block goes back to
+//! `Free-(1:1)` (the paper's fragmentation-reduction path).
+//!
+//! The paper's block-granular details — request sizes scaled by `m/n` and
+//! rounded up to a power of two, marked strips set aside as no-use
+//! fragments while splitting — are not modelled: the simulator maps
+//! frame by frame and reports no fragmentation counts.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,10 +28,14 @@ use sdpcm_pcm::geometry::{PAGES_PER_STRIP, STRIPS_PER_64MB};
 /// Pages per 64 MB block.
 pub const PAGES_PER_64MB: u64 = STRIPS_PER_64MB * PAGES_PER_STRIP as u64;
 
+/// A block drawn from `Free-(1:1)` to feed a pool.
 #[derive(Debug, Clone, Copy)]
 struct Region {
-    span: u64,
+    /// Buddy order of the block (`2^order` frames).
+    order: u8,
+    /// Frames of the block outside marked strips.
     usable: u64,
+    /// Usable frames currently in the pool (not handed out).
     free: u64,
 }
 
@@ -37,7 +50,7 @@ struct Pool {
 impl Pool {
     fn region_of(&mut self, frame: u64) -> Option<(u64, &mut Region)> {
         let (&base, region) = self.regions.range_mut(..=frame).next_back()?;
-        (frame < base + region.span).then_some((base, region))
+        (frame < base + (1 << region.order)).then_some((base, region))
     }
 }
 
@@ -48,11 +61,12 @@ impl Pool {
 /// ```
 /// use sdpcm_osalloc::{NmAllocator, NmRatio};
 ///
+/// let ratio = NmRatio::one_two();
 /// let mut a = NmAllocator::new(1 << 16); // 64K frames = 256 MB
-/// let frames = a.alloc_pages(NmRatio::one_two(), 32).unwrap();
+/// let frames = a.alloc_pages(ratio, 32).unwrap();
 /// assert_eq!(frames.len(), 32);
-/// // No frame lies in a marked (odd) strip.
-/// assert!(frames.iter().all(|f| (f / 16) % 2 == 0));
+/// // No frame lies in a strip the ratio marks.
+/// assert!(frames.iter().all(|f| !ratio.is_nouse_strip(f / 16)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct NmAllocator {
@@ -101,27 +115,14 @@ impl NmAllocator {
         let key = (ratio.n(), ratio.m());
         let mut out = Vec::with_capacity(count as usize);
         while (out.len() as u64) < count {
-            let next = self
-                .pools
-                .get(&key)
-                .and_then(|p| p.free.iter().next().copied());
-            match next {
-                Some(f) => {
-                    let pool = self.pools.get_mut(&key).expect("pool exists");
-                    pool.free.remove(&f);
-                    let (_, region) = pool.region_of(f).expect("frame belongs to a region");
-                    region.free -= 1;
-                    out.push(f);
-                }
-                None => {
-                    if !self.refill_pool(ratio) {
-                        let frames = std::mem::take(&mut out);
-                        if !frames.is_empty() {
-                            self.free_pages(ratio, &frames);
-                        }
-                        return None;
-                    }
-                }
+            let pool = self.pools.entry(key).or_default();
+            if let Some(f) = pool.free.pop_first() {
+                let (_, region) = pool.region_of(f).expect("pooled frame lies in a region");
+                region.free -= 1;
+                out.push(f);
+            } else if !self.refill_pool(ratio) {
+                self.free_pages(ratio, &out);
+                return None;
             }
         }
         Some(out)
@@ -133,7 +134,7 @@ impl NmAllocator {
     /// # Panics
     ///
     /// Panics on a double free or a frame that was never handed out by
-    /// this allocator/ratio.
+    /// this allocator/ratio, before that frame changes any count.
     pub fn free_pages(&mut self, ratio: NmRatio, frames: &[u64]) {
         if ratio.n() == ratio.m() {
             for &f in frames {
@@ -141,40 +142,33 @@ impl NmAllocator {
             }
             return;
         }
-        let key = (ratio.n(), ratio.m());
-        let mut reclaim: Vec<(u64, u64)> = Vec::new();
-        {
-            let pool = self.pools.entry(key).or_default();
-            for &f in frames {
-                let Some((base, region)) = pool.region_of(f) else {
-                    panic!("double free or foreign frame {f}");
-                };
-                region.free += 1;
-                let full = region.free == region.usable;
-                let span = region.span;
-                assert!(pool.free.insert(f), "double free of frame {f}");
-                if full {
-                    reclaim.push((base, span));
-                }
-            }
-            for &(base, span) in &reclaim {
+        let pool = self.pools.entry((ratio.n(), ratio.m())).or_default();
+        for &f in frames {
+            assert!(
+                !ratio.is_nouse_strip(f / PAGES_PER_STRIP as u64),
+                "foreign frame {f}: it lies in a strip {ratio} marks"
+            );
+            assert!(!pool.free.contains(&f), "double free of frame {f}");
+            let Some((base, region)) = pool.region_of(f) else {
+                panic!("double free or foreign frame {f}");
+            };
+            region.free += 1;
+            let full = (region.free == region.usable).then_some(region.order);
+            pool.free.insert(f);
+            if let Some(order) = full {
+                // Every usable frame of the block is back: return the
+                // whole block, which came from the buddy as one, to
+                // Free-(1:1).
                 pool.regions.remove(&base);
-                let in_region: Vec<u64> = pool.free.range(base..base + span).copied().collect();
-                for f in in_region {
-                    pool.free.remove(&f);
+                let pooled: Vec<u64> = pool
+                    .free
+                    .range(base..base + (1 << order))
+                    .copied()
+                    .collect();
+                for p in pooled {
+                    pool.free.remove(&p);
                 }
-            }
-        }
-        for (base, span) in reclaim {
-            // Return the block in order-aligned chunks.
-            let mut b = base;
-            while b < base + span {
-                let mut order = 0u8;
-                while b % (1 << (order + 1)) == 0 && b + (1 << (order + 1)) <= base + span {
-                    order += 1;
-                }
-                self.base.free(b, order);
-                b += 1 << order;
+                self.base.free(base, order);
             }
         }
     }
@@ -197,8 +191,8 @@ impl NmAllocator {
 
     /// Pulls one 64 MB block (or the largest block the base buddy can
     /// still supply) from Free-(1:1) into the ratio's pool. Returns
-    /// `false` when the base is exhausted or the block has no usable
-    /// strip.
+    /// `false`, keeping nothing, when the base is exhausted or the block
+    /// lies wholly in marked strips.
     fn refill_pool(&mut self, ratio: NmRatio) -> bool {
         // 64 MB blocks on real geometry; on scaled-down test devices take
         // a quarter of the device per refill (at least two strips) so
@@ -215,25 +209,26 @@ impl NmAllocator {
             }
             order -= 1;
         };
-        let span = 1u64 << order;
         let pool = self.pools.entry((ratio.n(), ratio.m())).or_default();
-        let mut usable = 0u64;
-        for frame in base..base + span {
-            let strip = frame / PAGES_PER_STRIP as u64;
-            if !ratio.is_nouse_strip(strip) {
-                pool.free.insert(frame);
-                usable += 1;
-            }
+        let before = pool.free.len();
+        pool.free.extend(
+            (base..base + (1 << order))
+                .filter(|f| !ratio.is_nouse_strip(f / PAGES_PER_STRIP as u64)),
+        );
+        let usable = (pool.free.len() - before) as u64;
+        if usable == 0 {
+            self.base.free(base, order);
+            return false;
         }
         pool.regions.insert(
             base,
             Region {
-                span,
+                order,
                 usable,
                 free: usable,
             },
         );
-        usable > 0
+        true
     }
 }
 
@@ -244,6 +239,8 @@ fn log2_floor(v: u64) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
+    use std::collections::HashMap;
 
     #[test]
     fn one_one_allocates_everything() {
@@ -352,5 +349,116 @@ mod tests {
         let frames = a.alloc_pages(NmRatio::one_two(), 1).unwrap();
         a.free_pages(NmRatio::one_two(), &frames);
         a.free_pages(NmRatio::one_two(), &frames);
+    }
+
+    #[test]
+    #[should_panic(expected = "lies in a strip (1:2) marks")]
+    fn freeing_a_marked_strip_frame_panics() {
+        let mut a = NmAllocator::new(128);
+        let frames = a.alloc_pages(NmRatio::one_two(), 16).unwrap();
+        assert_eq!(frames, (0..16).collect::<Vec<u64>>());
+        // Frame 16 lies in marked strip 1 of the same block; accepting it
+        // would put a thermal-band frame into the pool.
+        a.free_pages(NmRatio::one_two(), &[16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lies in a strip (1:2) marks")]
+    fn a_marked_frame_cannot_complete_a_block_still_in_use() {
+        let mut a = NmAllocator::new(128);
+        let _held = a.alloc_pages(NmRatio::one_two(), 16).unwrap();
+        // Frames 0..15 are held; 0..14 plus the marked frame 16 would
+        // count as 16 returns and reclaim the block with frame 15 in use.
+        let mut frames: Vec<u64> = (0..15).collect();
+        frames.push(16);
+        a.free_pages(NmRatio::one_two(), &frames);
+    }
+
+    #[test]
+    fn a_refill_with_no_usable_frame_keeps_nothing() {
+        let mut a = NmAllocator::new(64);
+        let held = a.alloc_pages(NmRatio::one_one(), 48).unwrap();
+        // Only frames 48..63 are left: marked strip 3 under (1:2).
+        assert!(a.alloc_pages(NmRatio::one_two(), 1).is_none());
+        assert_eq!(a.base_free_pages(), 16, "the drawn block went back");
+        a.free_pages(NmRatio::one_one(), &held);
+        assert_eq!(a.base_free_pages(), 64);
+        assert_eq!(a.alloc_pages(NmRatio::one_one(), 64).unwrap().len(), 64);
+    }
+
+    /// Runs `ops` random allocations and frees under (1:1), (1:2), (2:3)
+    /// and (3:4) on one allocator of `total` frames, checking every
+    /// result against the set of frames held, then frees everything.
+    fn churn_against_held_set(total: u64, seed: u32, ops: usize) {
+        let ratios = [
+            NmRatio::one_one(),
+            NmRatio::one_two(),
+            NmRatio::two_three(),
+            NmRatio::three_four(),
+        ];
+        let mut rng = TestRng::for_case("nm-alloc-churn", seed);
+        let mut a = NmAllocator::new(total);
+        let mut owner: HashMap<u64, NmRatio> = HashMap::new();
+        let mut held: Vec<(NmRatio, Vec<u64>)> = Vec::new();
+        let mut exhausted = 0;
+        for _ in 0..ops {
+            // Allocate twice as often as free, so the device fills up.
+            if held.is_empty() || rng.below(3) > 0 {
+                let ratio = ratios[rng.below(4) as usize];
+                let count = 1 + rng.below(total / 8 + 1);
+                let base_free = a.base_free_pages();
+                let Some(frames) = a.alloc_pages(ratio, count) else {
+                    exhausted += 1;
+                    if ratio == NmRatio::one_one() {
+                        assert!(
+                            base_free < count,
+                            "(1:1) refused {count} of {base_free} free"
+                        );
+                    }
+                    continue;
+                };
+                assert_eq!(frames.len() as u64, count);
+                for &f in &frames {
+                    assert!(f < total);
+                    assert!(
+                        !ratio.is_nouse_strip(f / 16),
+                        "frame {f} in a strip {ratio} marks"
+                    );
+                    assert!(
+                        owner.insert(f, ratio).is_none(),
+                        "frame {f} handed out twice"
+                    );
+                }
+                held.push((ratio, frames));
+            } else {
+                let (ratio, frames) = held.swap_remove(rng.below(held.len() as u64) as usize);
+                // Free in two calls so blocks go back piecewise.
+                let (first, rest) = frames.split_at(rng.below(frames.len() as u64) as usize);
+                a.free_pages(ratio, first);
+                a.free_pages(ratio, rest);
+                for f in frames {
+                    assert_eq!(owner.remove(&f), Some(ratio));
+                }
+            }
+        }
+        assert!(exhausted > 0, "the churn never filled the device");
+        for (ratio, frames) in held {
+            a.free_pages(ratio, &frames);
+        }
+        assert_eq!(a.base_free_pages(), total);
+        for ratio in ratios {
+            assert_eq!(a.pool_free_pages(ratio), 0, "{ratio} pool not emptied");
+        }
+    }
+
+    /// Release-mode soak: long churns that keep running into exhaustion,
+    /// on device sizes from a few strips to one 64 MB block.
+    #[test]
+    #[ignore = "soak: run with cargo test --release -p sdpcm-osalloc -- --ignored"]
+    fn churn_against_held_set_soak() {
+        for seed in 0..12 {
+            let total = [64, 100, 1 << 10, 3000, 1 << 12, 1 << 14][seed as usize % 6];
+            churn_against_held_set(total, seed, 20_000);
+        }
     }
 }

@@ -50,6 +50,6 @@ fn main() {
          (every data strip is isolated by a thermal band); (1:1) keeps everything\n\
          and pays for verifying both neighbours of every write. The OS can pick\n\
          per process — §4.4 integrates this with the buddy allocator, and the\n\
-         4-bit tag travels through the page table and TLB to the controller."
+         4-bit tag travels through the page table to the controller."
     );
 }

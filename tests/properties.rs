@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: differential writes, DIN coding, ECP tables, the buddy
-//! allocator, (n:m) marking, and the vulnerable-pattern analysis.
+//! and (n:m) page allocators, (n:m) marking, and the vulnerable-pattern
+//! analysis.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -9,7 +10,7 @@ use sdpcm::engine::{ChanceGate, SimRng};
 use sdpcm::memctrl::StartGap;
 use sdpcm::osalloc::buddy::BuddyAllocator;
 use sdpcm::osalloc::dma::DmaController;
-use sdpcm::osalloc::NmRatio;
+use sdpcm::osalloc::{NmAllocator, NmRatio};
 use sdpcm::pcm::ecp::{EcpKind, EcpTable};
 use sdpcm::pcm::line::{DiffMask, LineBuf};
 use sdpcm::trace::stream::StreamKernels;
@@ -166,6 +167,51 @@ proptest! {
             for p in *base..*base + (1 << order) {
                 prop_assert!(pages.insert(p), "page {} double-owned", p);
             }
+        }
+    }
+
+    #[test]
+    fn nm_allocator_churn_matches_held_set(
+        total in 1u64..1500,
+        ops in vec((0usize..4, 1u64..80, 0u8..3, any::<u64>()), 1..60),
+    ) {
+        let ratios = [
+            NmRatio::one_one(),
+            NmRatio::one_two(),
+            NmRatio::two_three(),
+            NmRatio::three_four(),
+        ];
+        let mut a = NmAllocator::new(total);
+        let mut owner = std::collections::HashMap::new();
+        let mut held: Vec<(NmRatio, Vec<u64>)> = Vec::new();
+        for (r, count, op, pick) in ops {
+            if op == 0 && !held.is_empty() {
+                // Free one allocation, in two calls.
+                let (ratio, frames) = held.swap_remove(pick as usize % held.len());
+                let (first, rest) = frames.split_at(pick as usize % frames.len());
+                a.free_pages(ratio, first);
+                a.free_pages(ratio, rest);
+                for f in frames {
+                    prop_assert_eq!(owner.remove(&f), Some(ratio));
+                }
+            } else if let Some(frames) = a.alloc_pages(ratios[r], count) {
+                prop_assert_eq!(frames.len() as u64, count);
+                for &f in &frames {
+                    prop_assert!(f < total);
+                    // No frame in a marked strip, none held twice (across
+                    // ratios too).
+                    prop_assert!(!ratios[r].is_nouse_strip(f / 16), "frame {} marked", f);
+                    prop_assert!(owner.insert(f, ratios[r]).is_none(), "frame {} held twice", f);
+                }
+                held.push((ratios[r], frames));
+            }
+        }
+        for (ratio, frames) in held {
+            a.free_pages(ratio, &frames);
+        }
+        prop_assert_eq!(a.base_free_pages(), total);
+        for ratio in ratios {
+            prop_assert_eq!(a.pool_free_pages(ratio), 0);
         }
     }
 
