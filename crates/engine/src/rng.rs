@@ -25,6 +25,11 @@
 //!   [`RngStream::labeled`] derive independent substreams without
 //!   consuming draws, in any order, from shared references.
 //!
+//! Batches ([`SimRng::fill`]) go through one bulk kernel,
+//! `RngStream::fill_at`, which on x86-64 CPUs with AVX2 computes
+//! [`FILL_PASS`] consecutive counters per vector pass; every draw is the
+//! same value on that path and on the scalar one.
+//!
 //! No external crates, fully deterministic across platforms.
 
 /// Philox4x32 round multipliers and Weyl key increments (Random123).
@@ -144,6 +149,43 @@ impl RngStream {
         u64::from(x[0]) | (u64::from(x[1]) << 32)
     }
 
+    /// Writes draws `start..start + out.len()` into `out`:
+    /// `out[j] == self.at(start.wrapping_add(j))`, the draw index
+    /// wrapping at `u64::MAX` like the 64-bit counter half it fills.
+    ///
+    /// This is the bulk kernel. Every counter of the run is known before
+    /// the first block starts, so on x86-64 CPUs with AVX2 whole passes
+    /// of [`FILL_PASS`] consecutive draws run side by side in vector
+    /// lanes; a tail shorter than a pass, and every draw on other CPUs
+    /// and targets, takes the scalar [`philox4x32_10`] loop. Both paths
+    /// compute the same Philox blocks, so the values do not depend on
+    /// which one ran.
+    #[inline]
+    pub(crate) fn fill_at(&self, start: u64, out: &mut [u64]) {
+        // `is_x86_feature_detected!` queries CPUID once per process and
+        // then reads a cached bit.
+        #[cfg(target_arch = "x86_64")]
+        if out.len() >= FILL_PASS && std::arch::is_x86_feature_detected!("avx2") {
+            let whole = out.len() - out.len() % FILL_PASS;
+            let (passes, tail) = out.split_at_mut(whole);
+            // SAFETY: `philox_avx2::fill` is safe code compiled with AVX2
+            // enabled; its one requirement is a CPU that executes AVX2
+            // instructions, which the runtime check above established.
+            unsafe { philox_avx2::fill(self.key, self.space, start, passes) };
+            self.fill_scalar(start.wrapping_add(whole as u64), tail);
+            return;
+        }
+        self.fill_scalar(start, out);
+    }
+
+    /// [`RngStream::fill_at`] one block at a time: the portable path and
+    /// the test oracle of the vector one.
+    fn fill_scalar(&self, start: u64, out: &mut [u64]) {
+        for (j, o) in (0u64..).zip(out) {
+            *o = self.at(start.wrapping_add(j));
+        }
+    }
+
     /// A sequential cursor over this stream, starting at draw 0.
     #[must_use]
     pub fn sequence(&self) -> SimRng {
@@ -229,15 +271,17 @@ impl SimRng {
     /// past them.
     ///
     /// A draw's counter, not the previous draw's value, fixes the next
-    /// draw, so every counter is known before the first block runs. One
-    /// straight loop over them lets the CPU overlap the independent
-    /// Philox blocks instead of finishing each before the caller's
-    /// dependent arithmetic asks for the next.
+    /// draw, so every counter is known before the first block runs. The
+    /// batch goes to the bulk kernel `RngStream::fill_at`, which computes
+    /// whole passes of [`FILL_PASS`] blocks side by side in SIMD lanes on
+    /// x86-64 CPUs with AVX2, and the rest, or all of it elsewhere, one
+    /// block at a time; every draw is the same value on both paths.
+    /// Callers that batch ([`SimRng::poisson`], payload toggles in trace
+    /// capture) get the most from batches that are multiples of
+    /// [`FILL_PASS`].
     #[inline]
     pub fn fill(&mut self, out: &mut [u64]) {
-        for (ctr, o) in (self.ctr..).zip(out.iter_mut()) {
-            *o = self.stream.at(ctr);
-        }
+        self.stream.fill_at(self.ctr, out);
         self.ctr += out.len() as u64;
     }
 
@@ -318,9 +362,10 @@ impl SimRng {
     ///
     /// Means up to [`POISSON_INVERSION_MAX`] use inversion, which
     /// multiplies uniforms until the product drops to `exp(-lambda)`,
-    /// about `lambda + 1` of them. They are drawn eight at a time with
-    /// [`SimRng::fill`] (the first chunk sized to the expected count when
-    /// that is smaller), so their Philox blocks overlap; the cursor then
+    /// about `lambda + 1` of them. They are drawn eight at a time, one
+    /// vector pass, with [`SimRng::fill`] (the first chunk sized to the
+    /// expected count when that is smaller), so their Philox blocks run
+    /// side by side; the cursor then
     /// moves back to just past the draws the one-at-a-time loop would
     /// have consumed, and the draws computed beyond them are discarded.
     /// Value and cursor are those of the sequential form, which survives
@@ -394,8 +439,110 @@ pub const POISSON_INVERSION_MAX: f64 = 500.0;
 /// than a request for a draw costing more than a million of them.
 pub const POISSON_MEAN_MAX: f64 = 1e6;
 
-/// Draws [`SimRng::poisson`] computes per batch.
-const POISSON_CHUNK: usize = 8;
+/// Draws [`SimRng::poisson`] computes per batch: one vector pass. At the
+/// means capture asks for, batches of 16 or 24 measured slower at 12 and
+/// 80 and no faster at 40 and 96: they discard more draws.
+const POISSON_CHUNK: usize = FILL_PASS;
+
+/// Consecutive draws one vector pass of [`SimRng::fill`] computes: two
+/// interleaved chains of four 64-bit lanes each on AVX2.
+pub const FILL_PASS: usize = 8;
+
+/// The AVX2 pass of [`RngStream::fill_at`].
+///
+/// Each 64-bit lane carries one Philox block, with each of its four
+/// 32-bit words in the low half of a lane of its own vector; the high
+/// halves hold junk that nothing reads. `_mm256_mul_epu32` multiplies
+/// exactly those low halves into full 64-bit products, so a round is
+/// two multiplies, two shifts and four XORs per vector, with no shuffle,
+/// and the 64-bit counter is a plain lane add that carries into its high
+/// word. A pass runs two four-lane chains (draws 0–3 and 4–7 of the
+/// pass) side by side, so one chain's multiplies issue while the
+/// other's are still in flight.
+#[cfg(target_arch = "x86_64")]
+mod philox_avx2 {
+    use super::{FILL_PASS, PHILOX_M0, PHILOX_M1, PHILOX_W0, PHILOX_W1};
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_blend_epi32, _mm256_extract_epi64,
+        _mm256_mul_epu32, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set_epi64x,
+        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_xor_si256,
+    };
+
+    /// One chain of four blocks: counter words 0–3, one vector each.
+    struct Chain([__m256i; 4]);
+
+    impl Chain {
+        /// The counters of draws `first..first + 4` in subspace `space`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new(space: u64, first: u64) -> Chain {
+            let idx = _mm256_add_epi64(
+                _mm256_set1_epi64x(first as i64),
+                _mm256_set_epi64x(3, 2, 1, 0),
+            );
+            Chain([
+                _mm256_set1_epi64x(space as i64),
+                _mm256_set1_epi64x((space >> 32) as i64),
+                idx,
+                _mm256_srli_epi64::<32>(idx),
+            ])
+        }
+
+        /// One Philox round under round keys `k0`, `k1`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn round(&mut self, m0: __m256i, m1: __m256i, k0: __m256i, k1: __m256i) {
+            let [c0, c1, c2, c3] = self.0;
+            let p0 = _mm256_mul_epu32(c0, m0);
+            let p1 = _mm256_mul_epu32(c2, m1);
+            self.0 = [
+                _mm256_xor_si256(_mm256_srli_epi64::<32>(p1), _mm256_xor_si256(c1, k0)),
+                p1,
+                _mm256_xor_si256(_mm256_srli_epi64::<32>(p0), _mm256_xor_si256(c3, k1)),
+                p0,
+            ];
+        }
+
+        /// Writes each block's draw, `word0 | word1 << 32`, to `out`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn store(&self, out: &mut [u64]) {
+            let [c0, c1, ..] = self.0;
+            let v = _mm256_blend_epi32::<0b1010_1010>(c0, _mm256_slli_epi64::<32>(c1));
+            out[0] = _mm256_extract_epi64::<0>(v) as u64;
+            out[1] = _mm256_extract_epi64::<1>(v) as u64;
+            out[2] = _mm256_extract_epi64::<2>(v) as u64;
+            out[3] = _mm256_extract_epi64::<3>(v) as u64;
+        }
+    }
+
+    /// Writes draws `start..start + out.len()` of stream `(key, space)`
+    /// into `out`, whose length is a multiple of [`FILL_PASS`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn fill(key: [u32; 2], space: u64, start: u64, out: &mut [u64]) {
+        debug_assert_eq!(out.len() % FILL_PASS, 0);
+        let m0 = _mm256_set1_epi64x(i64::from(PHILOX_M0));
+        let m1 = _mm256_set1_epi64x(i64::from(PHILOX_M1));
+        let w0 = _mm256_set1_epi32(PHILOX_W0 as i32);
+        let w1 = _mm256_set1_epi32(PHILOX_W1 as i32);
+        for (pass, out) in out.chunks_exact_mut(FILL_PASS).enumerate() {
+            let first = start.wrapping_add((pass * FILL_PASS) as u64);
+            let mut a = Chain::new(space, first);
+            let mut b = Chain::new(space, first.wrapping_add(4));
+            let mut k0 = _mm256_set1_epi32(key[0] as i32);
+            let mut k1 = _mm256_set1_epi32(key[1] as i32);
+            for _ in 0..10 {
+                a.round(m0, m1, k0, k1);
+                b.round(m0, m1, k0, k1);
+                k0 = _mm256_add_epi32(k0, w0);
+                k1 = _mm256_add_epi32(k1, w1);
+            }
+            let (lo, hi) = out.split_at_mut(4);
+            a.store(lo);
+            b.store(hi);
+        }
+    }
+}
 
 /// The canonical `[0, 1)` double of a raw draw: its 53 high bits.
 #[inline]
@@ -701,7 +848,9 @@ mod tests {
     }
 
     /// The historical one-draw-at-a-time inversion, verbatim: the oracle
-    /// the batched [`SimRng::poisson`] must match in value and cursor.
+    /// the batched [`SimRng::poisson`] must match in value and cursor. On
+    /// a CPU with AVX2 the batched side's full chunks take the vector
+    /// passes of [`RngStream::fill_at`].
     fn poisson_sequential(r: &mut SimRng, lambda: f64) -> u64 {
         if lambda == 0.0 {
             return 0;
@@ -758,7 +907,90 @@ mod tests {
             filled.fill(&mut buf);
             let want: Vec<u64> = (0..n).map(|_| one_by_one.next_u64()).collect();
             proptest::prop_assert_eq!(buf, want);
+            // The cursor sits just past the batch, where `n` calls of
+            // `next_u64` leave it.
+            proptest::prop_assert_eq!(filled.ctr, skip + n as u64);
             proptest::prop_assert_eq!(filled.next_u64(), one_by_one.next_u64());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn fill_at_matches_the_scalar_path_at_every_length(
+            seed in proptest::prelude::any::<u64>(),
+            label in proptest::prelude::any::<u32>(),
+            r in proptest::prelude::any::<u64>(),
+        ) {
+            let s = RngStream::from_seed_label(seed, &format!("fill-{label:x}"));
+            for start in fill_starts(r) {
+                for len in 0..=64 {
+                    let want: Vec<u64> =
+                        (0..len).map(|j| s.at(start.wrapping_add(j))).collect();
+                    let mut bulk = vec![0u64; want.len()];
+                    s.fill_at(start, &mut bulk);
+                    proptest::prop_assert_eq!(&bulk, &want, "start={} len={}", start, len);
+                    let mut scalar = vec![0u64; want.len()];
+                    s.fill_scalar(start, &mut scalar);
+                    proptest::prop_assert_eq!(&scalar, &want, "start={} len={}", start, len);
+                }
+            }
+        }
+    }
+
+    /// Starts of bulk runs: the first draw, a random one, runs across the
+    /// carry from the counter's low word into its high word at 2^32, and
+    /// runs that wrap past `u64::MAX` to draw 0.
+    fn fill_starts(r: u64) -> [u64; 6] {
+        let back = r % 72;
+        [
+            0,
+            r,
+            (1 << 32) - back,
+            (1 << 32) - 5,
+            u64::MAX - back,
+            u64::MAX - 4,
+        ]
+    }
+
+    /// [`RngStream::fill_at`] against [`philox4x32_10`] itself over more
+    /// than ten million draws that take the vector passes where the CPU
+    /// has them: random streams, run lengths and starts, a third of them
+    /// across 2^32 and a third wrapping at `u64::MAX`.
+    #[test]
+    #[ignore = "release soak; run with --ignored"]
+    fn fill_at_soak_against_philox() {
+        let mut pick = SimRng::from_seed_label(2026, "fill-soak");
+        let mut buf = [0u64; 4 * FILL_PASS * FILL_PASS + 7];
+        let mut in_passes = 0u64;
+        while in_passes < 10_000_000 {
+            let s = RngStream::from_seed(pick.next_u64());
+            let len = pick.index(buf.len() + 1);
+            let start = match pick.below(3) {
+                0 => pick.next_u64(),
+                1 => (1 << 32) - pick.below(buf.len() as u64),
+                _ => u64::MAX - pick.below(buf.len() as u64),
+            };
+            s.fill_at(start, &mut buf[..len]);
+            for (j, &got) in (0u64..).zip(&buf[..len]) {
+                let i = start.wrapping_add(j);
+                let x = philox4x32_10(
+                    [
+                        s.space as u32,
+                        (s.space >> 32) as u32,
+                        i as u32,
+                        (i >> 32) as u32,
+                    ],
+                    s.key,
+                );
+                let want = u64::from(x[0]) | (u64::from(x[1]) << 32);
+                assert_eq!(
+                    got, want,
+                    "stream {s:?} draw {i} (start {start}, len {len})"
+                );
+            }
+            in_passes += (len - len % FILL_PASS) as u64;
         }
     }
 

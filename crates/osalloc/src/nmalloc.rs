@@ -190,24 +190,32 @@ impl NmAllocator {
     }
 
     /// Pulls one 64 MB block (or the largest block the base buddy can
-    /// still supply) from Free-(1:1) into the ratio's pool. Returns
-    /// `false`, keeping nothing, when the base is exhausted or the block
-    /// lies wholly in marked strips.
+    /// still supply) that holds a frame the ratio uses from Free-(1:1)
+    /// into the ratio's pool. Blocks that lie wholly in marked strips are
+    /// held aside while the search goes on, so each draw finds a block
+    /// not yet tried, and go back to Free-(1:1) at the end. Returns
+    /// `false`, keeping nothing, when no free frame lies outside the
+    /// ratio's marked strips.
     fn refill_pool(&mut self, ratio: NmRatio) -> bool {
         // 64 MB blocks on real geometry; on scaled-down test devices take
         // a quarter of the device per refill (at least two strips) so
         // multiple allocators can coexist.
         let scaled = (self.base.total_pages() / 4).max(2 * PAGES_PER_STRIP as u64);
-        let want_order = log2_floor(PAGES_PER_64MB.min(scaled).min(self.base.total_pages()));
-        let mut order = want_order;
-        let base = loop {
-            if let Some(b) = self.base.alloc(order) {
-                break b;
+        let mut order = log2_floor(PAGES_PER_64MB.min(scaled).min(self.base.total_pages()));
+        let mut marked = Vec::new();
+        let drawn = loop {
+            match self.base.alloc(order) {
+                Some(base) if has_usable_frame(ratio, base, order) => break Some(base),
+                Some(base) => marked.push((base, order)),
+                None if order == 0 => break None,
+                None => order -= 1,
             }
-            if order == 0 {
-                return false;
-            }
-            order -= 1;
+        };
+        for (base, order) in marked {
+            self.base.free(base, order);
+        }
+        let Some(base) = drawn else {
+            return false;
         };
         let pool = self.pools.entry((ratio.n(), ratio.m())).or_default();
         let before = pool.free.len();
@@ -216,10 +224,6 @@ impl NmAllocator {
                 .filter(|f| !ratio.is_nouse_strip(f / PAGES_PER_STRIP as u64)),
         );
         let usable = (pool.free.len() - before) as u64;
-        if usable == 0 {
-            self.base.free(base, order);
-            return false;
-        }
         pool.regions.insert(
             base,
             Region {
@@ -230,6 +234,13 @@ impl NmAllocator {
         );
         true
     }
+}
+
+/// Whether the block of `2^order` frames at `base` has a frame outside
+/// the strips `ratio` marks.
+fn has_usable_frame(ratio: NmRatio, base: u64, order: u8) -> bool {
+    let strip = PAGES_PER_STRIP as u64;
+    (base / strip..=(base + (1 << order) - 1) / strip).any(|s| !ratio.is_nouse_strip(s))
 }
 
 fn log2_floor(v: u64) -> u8 {
@@ -384,6 +395,20 @@ mod tests {
         a.free_pages(NmRatio::one_one(), &held);
         assert_eq!(a.base_free_pages(), 64);
         assert_eq!(a.alloc_pages(NmRatio::one_one(), 64).unwrap().len(), 64);
+    }
+
+    #[test]
+    fn a_refill_looks_past_a_wholly_marked_block() {
+        let mut a = NmAllocator::new(64);
+        let held = a.alloc_pages(NmRatio::one_one(), 48).unwrap();
+        assert_eq!(held, (0..48).collect::<Vec<u64>>());
+        a.free_pages(NmRatio::one_one(), &[0]);
+        // Free: frame 0 in used strip 0, and frames 48..63, which the
+        // buddy supplies first as one block wholly in marked strip 3.
+        assert_eq!(a.alloc_pages(NmRatio::one_two(), 1), Some(vec![0]));
+        assert_eq!(a.base_free_pages(), 16, "the marked block went back");
+        assert!(a.alloc_pages(NmRatio::one_two(), 1).is_none());
+        assert_eq!(a.base_free_pages(), 16);
     }
 
     /// Runs `ops` random allocations and frees under (1:1), (1:2), (2:3)

@@ -41,8 +41,12 @@
 //!   several threads and the bytes cannot depend on the thread count or
 //!   schedule.
 //! * Batched draws. Poisson write sizes ([`SimRng::poisson`]) and
-//!   toggle positions ([`toggle_mask`]) compute their Philox blocks in
-//!   batches and consume exactly the draws of the one-at-a-time loops.
+//!   toggle positions ([`toggle_mask`]) take their uniforms in batches
+//!   from [`SimRng::fill`], whose bulk kernel computes eight consecutive
+//!   Philox blocks per SIMD pass on CPUs with AVX2, and consume exactly
+//!   the draws of the one-at-a-time loops. Every draw is the same value
+//!   on the vector and the scalar path, so trace bytes do not depend on
+//!   the CPU.
 //! * Compact records. A core's references are one var-int byte stream,
 //!   in memory and on disk alike (layout under
 //!   [`TRACE_SCHEMA_VERSION`]), decoded record by record on replay.
@@ -51,6 +55,7 @@ use std::fmt;
 use std::ops::Deref;
 
 use sdpcm_engine::par::parallel_map;
+use sdpcm_engine::rng::FILL_PASS;
 use sdpcm_engine::SimRng;
 
 use crate::gen::TraceGenerator;
@@ -382,11 +387,12 @@ impl RefTrace {
 /// Each position is `rng.index(512)`. Lemire's reduction never rejects a
 /// power-of-two bound, so that is the draw's top nine bits,
 /// `next_u64() >> 55`, one draw per position; the draws come from
-/// [`SimRng::fill`] in batches so their Philox blocks overlap. Consumes
-/// exactly the draws the one-at-a-time `index(512)` loop would.
+/// [`SimRng::fill`] in batches of 64, a whole number of its vector
+/// passes, so their Philox blocks run side by side. Consumes exactly the
+/// draws the one-at-a-time `index(512)` loop would.
 #[must_use]
 pub fn toggle_mask(rng: &mut SimRng, flips: usize) -> ToggleMask {
-    const BATCH: usize = 64;
+    const BATCH: usize = 8 * FILL_PASS;
     let mut mask = [0u64; MASK_WORDS];
     let mut buf = [0u64; BATCH];
     let mut left = flips;
@@ -592,6 +598,9 @@ mod tests {
 
     #[test]
     fn toggle_mask_matches_the_index_loop() {
+        // Counts below, at and past one vector pass and one batch: on a
+        // CPU with AVX2 the batches take the vector passes of
+        // `SimRng::fill`, with scalar tails.
         for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130, 512] {
             for seed in 0..4 {
                 let mut batched = SimRng::from_seed_label(seed, "toggles");
