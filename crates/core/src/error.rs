@@ -6,9 +6,8 @@
 //! [`CtrlSnapshot`] where relevant) to diagnose a failed multi-hour run
 //! from its error message alone.
 
+use sdpcm_memctrl::chaos::ChaosError;
 use sdpcm_memctrl::{CtrlError, CtrlSnapshot};
-use sdpcm_wd::chaos::ChaosError;
-use sdpcm_wd::WdError;
 
 /// A rejected [`crate::ExperimentParams`] / workload combination.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,8 +146,6 @@ pub enum SdpcmError {
     Sim(SimError),
     /// Rejected chaos scenario.
     Chaos(ChaosError),
-    /// Rejected disturbance-injector configuration.
-    Wd(WdError),
 }
 
 impl std::fmt::Display for SdpcmError {
@@ -159,7 +156,6 @@ impl std::fmt::Display for SdpcmError {
             SdpcmError::Ctrl(e) => write!(f, "{e}"),
             SdpcmError::Sim(e) => write!(f, "{e}"),
             SdpcmError::Chaos(e) => write!(f, "{e}"),
-            SdpcmError::Wd(e) => write!(f, "{e}"),
         }
     }
 }
@@ -172,7 +168,6 @@ impl std::error::Error for SdpcmError {
             SdpcmError::Ctrl(e) => Some(e),
             SdpcmError::Sim(e) => Some(e),
             SdpcmError::Chaos(e) => Some(e),
-            SdpcmError::Wd(e) => Some(e),
         }
     }
 }
@@ -204,12 +199,6 @@ impl From<SimError> for SdpcmError {
 impl From<ChaosError> for SdpcmError {
     fn from(e: ChaosError) -> SdpcmError {
         SdpcmError::Chaos(e)
-    }
-}
-
-impl From<WdError> for SdpcmError {
-    fn from(e: WdError) -> SdpcmError {
-        SdpcmError::Wd(e)
     }
 }
 

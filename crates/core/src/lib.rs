@@ -28,8 +28,9 @@
 //!   cache (`SDPCM_TRACE_DIR`).
 //! * [`error`] — the typed [`error::SdpcmError`] hierarchy every
 //!   simulator entry point reports instead of panicking.
-//! * [`fault`] — [`fault::FaultPlan`]: deterministic chaos scenarios
-//!   (storms, stuck-at bursts, aging ramps) installed into a simulator.
+//! * [`FaultPlan`] — deterministic chaos scenarios (storms, stuck-at
+//!   bursts, aging ramps), re-exported from `sdpcm_memctrl::chaos` and
+//!   installed into a simulator with [`SystemSim::install_fault_plan`].
 //!
 //! Both front ends plug their cores into one private back end: per-core
 //! page tables filled by the WD-aware OS allocator (each entry carries
@@ -58,7 +59,6 @@ mod backend;
 pub mod config;
 pub mod error;
 pub mod experiments;
-pub mod fault;
 pub mod hiersim;
 pub mod metrics;
 pub mod sweep;
@@ -67,7 +67,7 @@ pub mod tracestore;
 
 pub use config::{ExperimentParams, Scheme};
 pub use error::{ConfigError, MapError, SdpcmError, SimError};
-pub use fault::FaultPlan;
 pub use metrics::RunStats;
+pub use sdpcm_memctrl::chaos::FaultPlan;
 pub use system::SystemSim;
 pub use tracestore::TraceStore;

@@ -15,13 +15,13 @@ use std::sync::Arc;
 
 use sdpcm_engine::prof::Site;
 use sdpcm_engine::Cycle;
+use sdpcm_memctrl::chaos::FaultPlan;
 use sdpcm_memctrl::MemoryController;
 use sdpcm_trace::{BenchKind, RefCursor, RefTrace, TraceMeta, TraceRef, Workload};
 
 use crate::backend::{Backend, Cores};
 use crate::config::{ExperimentParams, Scheme};
 use crate::error::{SdpcmError, SimError};
-use crate::fault::FaultPlan;
 use crate::metrics::RunStats;
 
 struct Core {
@@ -143,8 +143,7 @@ impl SystemSim {
     /// controller, which fires its faults as the committed-write counter
     /// crosses their trigger points.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<(), SdpcmError> {
-        self.be.controller_mut().install_chaos(plan.build()?);
-        Ok(())
+        Ok(self.be.controller_mut().install_chaos(plan)?)
     }
 
     /// Runs the simulation to completion and reports the statistics.

@@ -10,7 +10,7 @@
 //! * [`SimRng`] — seeded random-number streams with stable per-component
 //!   derivation, so adding a new consumer of randomness does not perturb
 //!   the draws seen by existing components.
-//! * [`stats`] — counters, running statistics and histograms used to build
+//! * [`stats`] — counters, histograms and quantile sketches used to build
 //!   every table and figure of the evaluation.
 //! * [`hash`] — a deterministic FxHash-style hasher for the simulator's
 //!   hot-path maps (the DoS-resistant std default is wasted cost here).
@@ -45,5 +45,5 @@ pub mod table;
 pub use clock::Cycle;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use rng::{ChanceGate, RngStream, SimRng};
-pub use stats::{Counter, Histogram, QuantileSketch, RunningStat};
+pub use stats::{Counter, Histogram, QuantileSketch};
 pub use table::TextTable;

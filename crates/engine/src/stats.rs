@@ -1,4 +1,4 @@
-//! Counters, running statistics and histograms.
+//! Counters, histograms and quantile sketches.
 //!
 //! Every row of every reproduced table/figure is assembled from these
 //! primitives. They are intentionally simple: plain accumulation, no
@@ -64,132 +64,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Streaming mean / min / max / variance (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use sdpcm_engine::RunningStat;
-///
-/// let mut s = RunningStat::default();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.push(v);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.max(), 3.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningStat {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStat {
-    /// Creates an empty statistic.
-    #[must_use]
-    pub fn new() -> RunningStat {
-        RunningStat::default()
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, v: f64) {
-        if self.n == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            if v < self.min {
-                self.min = v;
-            }
-            if v > self.max {
-                self.max = v;
-            }
-        }
-        self.n += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (v - self.mean);
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Smallest observation (0 when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Population variance (0 with fewer than two observations).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Folds `other` into this statistic (Chan et al. parallel merge).
-    pub fn merge(&mut self, other: &RunningStat) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
     }
 }
 
@@ -433,50 +307,6 @@ mod tests {
         d.add(5);
         c.merge(d);
         assert_eq!(c.get(), 15);
-    }
-
-    #[test]
-    fn running_stat_mean_var() {
-        let mut s = RunningStat::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(v);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn running_stat_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStat::new();
-        for &v in &data {
-            whole.push(v);
-        }
-        let mut a = RunningStat::new();
-        let mut b = RunningStat::new();
-        for &v in &data[..37] {
-            a.push(v);
-        }
-        for &v in &data[37..] {
-            b.push(v);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn empty_stat_is_zeroed() {
-        let s = RunningStat::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.variance(), 0.0);
     }
 
     #[test]

@@ -37,17 +37,12 @@
 //! This module holds construction, the driver surface and the
 //! diagnostics. The per-bank logic lives in the private `bank`, `lane`,
 //! `program` and `salvage` modules, Start-Gap mapping in
-//! [`crate::wearlevel`], and the chaos harness in a private child
-//! module.
+//! [`crate::wearlevel`], and the chaos harness in [`crate::chaos`].
 //!
 //! Modelling notes: the read-before-write of differential write is folded
 //! into the write latency (Table 2 reports write latencies as-is); the
 //! shared channel bus (≈8 cycles per 64 B burst) is not modelled — it is
 //! two orders of magnitude below the array latencies that dominate.
-
-mod chaos;
-
-use std::collections::VecDeque;
 
 use sdpcm_engine::prof::{self, Site};
 use sdpcm_engine::{Cycle, SimRng};
@@ -58,11 +53,11 @@ use sdpcm_pcm::line::LineBuf;
 use sdpcm_pcm::store::{DeviceStore, InitContent};
 use sdpcm_pcm::timing::PcmTiming;
 use sdpcm_pcm::wear::HardErrorModel;
-use sdpcm_wd::chaos::{ChaosEngine, ChaosPlan, FaultEvent};
 use sdpcm_wd::din::DinCodec;
 use sdpcm_wd::{DisturbanceModel, WdInjector};
 
 use crate::calendar::{BankCalendar, DueQueue};
+use crate::chaos::Chaos;
 use crate::error::{BankSnapshot, CtrlError, CtrlSnapshot};
 use crate::lane::{Lane, LaneShared, LaneState};
 use crate::req::{Access, AccessKind, Completion};
@@ -157,23 +152,16 @@ pub enum Wake {
 /// The memory controller.
 pub struct MemoryController {
     /// The context every lane reads, lent to each lane as it runs.
-    sh: LaneShared,
-    store: DeviceStore,
+    pub(crate) sh: LaneShared,
+    pub(crate) store: DeviceStore,
     /// Per-bank lanes: queues, architectural metadata, and accumulator
     /// slices. Aggregate views ([`MemoryController::stats`]) fold them
     /// in bank order.
-    lanes: Vec<LaneState>,
+    pub(crate) lanes: Vec<LaneState>,
     /// Logical → physical line mapping (Start-Gap or identity).
     map: LineMap,
-    chaos: Option<ChaosEngine>,
-    /// Sequential RNG for chaos victim selection — bank operations
-    /// complete in one global order, so a shared draw order is
-    /// well-defined.
-    chaos_rng: SimRng,
-    fault_log: Vec<FaultEvent>,
-    /// Recently committed write targets — the victim pool for chaos
-    /// stuck-at bursts (bounded, deterministic order).
-    recent_writes: VecDeque<LineAddr>,
+    /// The chaos harness's fault state.
+    pub(crate) chaos: Chaos,
     /// Every queued completion, popped in `(at, id)` order.
     completions: DueQueue,
     /// When each occupied bank's operation completes; written only at
@@ -181,7 +169,7 @@ pub struct MemoryController {
     calendar: BankCalendar,
     /// Whether some lane holds an anomaly not yet surfaced, so
     /// `take_anomaly` scans the lanes only when there is one to find.
-    anomaly_pending: bool,
+    pub(crate) anomaly_pending: bool,
 }
 
 impl std::fmt::Debug for MemoryController {
@@ -241,10 +229,7 @@ impl MemoryController {
             store,
             lanes: (0..geometry.banks()).map(LaneState::new).collect(),
             map: LineMap::new(&geometry, cfg.scheme.start_gap_psi),
-            chaos: None,
-            chaos_rng: rng,
-            fault_log: Vec::new(),
-            recent_writes: VecDeque::new(),
+            chaos: Chaos::new(rng),
             completions: DueQueue::default(),
             calendar: BankCalendar::new(geometry.banks() as usize),
             anomaly_pending: false,
@@ -295,23 +280,6 @@ impl MemoryController {
     pub fn set_dimm_age(&mut self, model: HardErrorModel, lifetime_fraction: f64) {
         assert!((0.0..=1.0).contains(&lifetime_fraction));
         self.sh.hard_plan = Some((model, lifetime_fraction));
-    }
-
-    /// Installs a chaos scenario, replacing any previous one. Faults
-    /// fire as the committed-write counter crosses their trigger points,
-    /// polled after every bank operation in the controller's global
-    /// `(completion time, bank)` order, so the scenario's shared draw
-    /// order is well-defined.
-    pub fn install_chaos(&mut self, plan: ChaosPlan) {
-        self.chaos = Some(ChaosEngine::new(plan));
-        self.sh.track_commits = true;
-    }
-
-    /// Every chaos action executed so far, in order. Two same-seed runs
-    /// of the same scenario produce identical logs.
-    #[must_use]
-    pub fn fault_log(&self) -> &[FaultEvent] {
-        &self.fault_log
     }
 
     /// Lines currently decommissioned into the per-bank salvage pools.

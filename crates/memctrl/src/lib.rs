@@ -27,18 +27,19 @@
 //!
 //! Robustness: the steady-state API ([`MemoryController::submit`] /
 //! [`MemoryController::run_until`] / [`MemoryController::flush`])
-//! returns typed [`CtrlError`]s instead of panicking, ECP exhaustion under LazyCorrection degrades through a
-//! retry → escalate → decommission ladder, and a chaos scenario
-//! ([`sdpcm_wd::chaos`]) can be installed to stress all of it
-//! deterministically.
+//! returns typed [`CtrlError`]s instead of panicking, ECP exhaustion
+//! under LazyCorrection degrades through a retry → escalate →
+//! decommission ladder, and a chaos scenario ([`chaos::FaultPlan`]) can
+//! be installed to stress all of it deterministically.
 //!
 //! Organization: [`req`] (requests/completions), [`scheme`] (mechanism
 //! switches), [`stats`] (counters behind Figures 4, 5, 11–19),
 //! [`writejob`] (a write job's data and initial step list), [`error`]
 //! (typed errors + diagnostic snapshots), [`wearlevel`] (Start-Gap and
-//! the controller's line mapping), and [`ctrl`] (the driver:
-//! construction, `submit` / `run_until` / `flush`, diagnostics, and a
-//! private chaos harness). The per-bank logic sits in private modules:
+//! the controller's line mapping), [`ctrl`] (the driver: construction,
+//! `submit` / `run_until` / `flush`, diagnostics) and [`chaos`] (the
+//! chaos harness: fault scenarios, their schedule, their execution and
+//! the fault log). The per-bank logic sits in private modules:
 //! `bank` (a bank's queues and write-queue index), `lane` (submission,
 //! forwarding, dispatch, PreRead, cancellation, pausing), `program` (the
 //! VnC write program), `salvage` (decommissioning) and `calendar` (the
@@ -46,6 +47,7 @@
 
 mod bank;
 mod calendar;
+pub mod chaos;
 pub mod ctrl;
 pub mod error;
 mod lane;

@@ -20,12 +20,9 @@
 //! * [`din`] — the DIN word-line encoder [Jiang et al., DSN'14]:
 //!   group-inversion coding that minimizes WL-vulnerable patterns.
 //! * [`inject`] — the seeded fault injector used by the memory controller
-//!   during simulated writes.
-//! * [`chaos`] — deterministic fault-scenario scheduling (stuck-at
-//!   bursts, elevated-WD storm windows, aging ramps) keyed on the
-//!   committed write stream.
+//!   during simulated writes (its storm multiplier is driven by the
+//!   controller's chaos harness, `sdpcm_memctrl::chaos`).
 
-pub mod chaos;
 pub mod din;
 pub mod disturb;
 pub mod fnw;
@@ -34,9 +31,6 @@ pub mod pattern;
 pub mod scaling;
 pub mod thermal;
 
-pub use chaos::{
-    ChaosAction, ChaosEngine, ChaosError, ChaosPlan, FaultEvent, FaultKind, ScheduledFault,
-};
 pub use din::{DinCodec, DinFlags};
 pub use disturb::DisturbanceModel;
 pub use fnw::FnwCodec;

@@ -8,8 +8,8 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! * [`engine`] — discrete-event simulation kernel (clock, events, RNG,
-//!   statistics).
+//! * [`engine`] — discrete-event simulation kernel (clock, RNG,
+//!   statistics, profiler, sweep executor).
 //! * [`pcm`] — the PCM device model: geometry, sparse cell-array store,
 //!   differential write, ECP error-correction pointers, wear/lifetime
 //!   accounting, and the capacity/area analytics of the paper's §6.1.
@@ -21,7 +21,8 @@
 //! * [`cachesim`] — the Table 2 cache hierarchy (L1 / L2 / DRAM L3).
 //! * [`osalloc`] — buddy page allocation with the WD-aware (n:m)-Alloc.
 //! * [`memctrl`] — the memory controller: queues, scheduling, basic VnC,
-//!   LazyCorrection, PreRead, and write cancellation.
+//!   LazyCorrection, PreRead, write cancellation, and the chaos harness
+//!   (`memctrl::chaos`: fault scenarios, their schedule and execution).
 //! * [`core`] — scheme configurations, the full-system simulator (plus
 //!   the full-hierarchy front end in `core::hiersim`), and the
 //!   per-figure experiment runners.

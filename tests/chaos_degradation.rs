@@ -8,6 +8,7 @@ use std::collections::HashMap;
 
 use sdpcm::core::{ExperimentParams, FaultPlan, Scheme, SystemSim};
 use sdpcm::engine::{Cycle, SimRng};
+use sdpcm::memctrl::chaos::FaultEvent;
 use sdpcm::memctrl::{
     Access, AccessKind, CtrlConfig, CtrlScheme, CtrlStats, MemoryController, ReqId,
 };
@@ -15,7 +16,6 @@ use sdpcm::osalloc::NmRatio;
 use sdpcm::pcm::geometry::{BankId, LineAddr, MemGeometry, RowId};
 use sdpcm::pcm::line::LineBuf;
 use sdpcm::trace::BenchKind;
-use sdpcm::wd::chaos::FaultEvent;
 
 /// A tiny ECP table plus a tight ladder so every rung fires quickly.
 /// The 4-entry queue keeps the small working set draining continuously
@@ -47,10 +47,8 @@ fn run_ladder(seed: u64) -> (CtrlStats, Vec<FaultEvent>, u64, usize) {
     // errors than it fixes and write jobs stop completing).
     let plan = FaultPlan::new()
         .storm(5, 1.5, 100_000)
-        .stuck_burst(40, 4, 2)
-        .build()
-        .expect("valid plan");
-    ctrl.install_chaos(plan);
+        .stuck_burst(40, 4, 2);
+    ctrl.install_chaos(plan).expect("valid plan");
 
     let mut rng = SimRng::from_seed_label(seed, "chaos-traffic");
     let mut shadow: HashMap<LineAddr, LineBuf> = HashMap::new();

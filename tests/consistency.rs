@@ -194,6 +194,25 @@ fn lazyc_never_corrupts() {
     assert!(h.ctrl.stats().ecp_records.get() > 0, "LazyC was exercised");
 }
 
+/// The inline-ECP ablation: ECP records occupy the bank as `EcpWrite`
+/// steps instead of overlapping with its next operation.
+#[test]
+fn inline_ecp_writes_never_corrupt() {
+    let h = run(
+        CtrlScheme::lazyc().with_inline_ecp_writes(),
+        NmRatio::one_one(),
+        3000,
+    );
+    assert_eq!(h.mismatches, vec![]);
+    assert_eq!(h.final_sweep_mismatches(), 0);
+    let stats = h.ctrl.stats();
+    assert!(stats.ecp_records.get() > 0, "LazyC was exercised");
+    assert!(
+        stats.phases.ecp_writes > Cycle::ZERO,
+        "records were written as EcpWrite steps"
+    );
+}
+
 #[test]
 fn lazyc_preread_never_corrupts() {
     let h = run(CtrlScheme::lazyc_preread(), NmRatio::one_one(), 3000);

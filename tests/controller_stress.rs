@@ -58,6 +58,9 @@ struct SchemeChoice {
     ecp_entries: usize,
     queue_cap: usize,
     aged: bool,
+    /// ECP records written as bank-occupying `EcpWrite` steps (the
+    /// inline-ECP ablation); only LazyCorrection writes records.
+    inline_ecp: bool,
 }
 
 fn scheme_strategy() -> impl Strategy<Value = SchemeChoice> {
@@ -69,16 +72,20 @@ fn scheme_strategy() -> impl Strategy<Value = SchemeChoice> {
         0usize..8,
         prop::sample::select(vec![4usize, 8, 32]),
         any::<bool>(),
+        any::<bool>(),
     )
         .prop_map(
-            |(lazyc, preread, cancel, pause, ecp_entries, queue_cap, aged)| SchemeChoice {
-                lazyc,
-                preread,
-                cancel,
-                pause,
-                ecp_entries,
-                queue_cap,
-                aged,
+            |(lazyc, preread, cancel, pause, ecp_entries, queue_cap, aged, inline_ecp)| {
+                SchemeChoice {
+                    lazyc,
+                    preread,
+                    cancel,
+                    pause,
+                    ecp_entries,
+                    queue_cap,
+                    aged,
+                    inline_ecp,
+                }
             },
         )
 }
@@ -92,6 +99,7 @@ fn ctrl_config(choice: &SchemeChoice, start_gap_psi: Option<u32>) -> CtrlConfig 
     scheme.write_cancellation = choice.cancel;
     scheme.write_pausing = choice.pause;
     scheme.start_gap_psi = start_gap_psi;
+    scheme.ecp_write_inline = choice.inline_ecp;
     CtrlConfig {
         write_queue_cap: choice.queue_cap,
         ecp_entries: choice.ecp_entries,
@@ -275,7 +283,7 @@ fn install_plan(ctrl: &mut MemoryController, plan: &PlanChoice) {
     if let Some(age) = plan.age {
         fp = fp.aging_ramp(plan.burst_at + 20, age);
     }
-    ctrl.install_chaos(fp.build().expect("generated plans are valid"));
+    ctrl.install_chaos(fp).expect("generated plans are valid");
 }
 
 fn run_with_plan(
@@ -284,7 +292,7 @@ fn run_with_plan(
     ops: &[Op],
 ) -> (
     sdpcm::memctrl::CtrlStats,
-    Vec<sdpcm::wd::chaos::FaultEvent>,
+    Vec<sdpcm::memctrl::chaos::FaultEvent>,
     u64,
 ) {
     let cfg = ctrl_config(choice, None);
@@ -422,6 +430,7 @@ fn kitchen_sink_scheme_long_schedule() {
         ecp_entries: 6,
         queue_cap: 8,
         aged: true,
+        inline_ecp: true,
     };
     let mut rng = SimRng::from_seed_label(123, "kitchen");
     let ops: Vec<Op> = (0..2_000)
@@ -457,7 +466,7 @@ struct Outcome {
     stats: CtrlStats,
     energy: sdpcm::pcm::energy::EnergyMeter,
     wear: sdpcm::pcm::wear::WearMeter,
-    faults: Vec<sdpcm::wd::chaos::FaultEvent>,
+    faults: Vec<sdpcm::memctrl::chaos::FaultEvent>,
     digest: u64,
 }
 
