@@ -10,8 +10,9 @@
 //! the outputs in input order, so a figure runner on top of it is
 //! indistinguishable from the sequential loop it replaces. The executor
 //! itself lives in [`sdpcm_engine::par`] (trace capture fans its
-//! per-core streams out on it too) and is re-exported here; this module
-//! adds the sweep's worker-count policy.
+//! per-core streams out on it too, except inside a sweep cell, where
+//! the cell's worker drains them itself) and is re-exported here; this
+//! module adds the sweep's worker-count policy.
 //!
 //! Workers claim cells from a shared atomic counter, which balances
 //! uneven cell costs (schemes with verification traffic run several

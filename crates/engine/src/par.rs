@@ -11,8 +11,20 @@
 //! No work-stealing library is involved (the workspace builds offline):
 //! workers pull the next item index from a shared atomic counter, which
 //! balances uneven item costs without any queueing structure.
+//!
+//! A call made on one of the pool's own workers (a sweep cell that
+//! captures its trace) maps on that worker. The outer pool already keeps
+//! the host busy; threads spawned under it would only oversubscribe the
+//! host, and each short-lived thread may be handed a different malloc
+//! arena, which made a sweep's peak resident set vary from run to run.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Whether this thread is a [`parallel_map`] worker.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Applies `f` to every item, fanning the calls across `workers` scoped
 /// threads, and returns the outputs **in input order**.
@@ -22,8 +34,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// so the execution order across workers is nondeterministic even though
 /// the returned `Vec` is not.
 ///
-/// With `workers <= 1` (or fewer than two items) the items are mapped on
-/// the calling thread, which keeps a sequential reference run available.
+/// With `workers <= 1` (or fewer than two items), or when called from a
+/// worker of another `parallel_map`, the items are mapped on the calling
+/// thread, which keeps a sequential reference run available.
 ///
 /// # Panics
 ///
@@ -35,7 +48,7 @@ where
     F: Fn(&I) -> O + Sync,
 {
     let n = items.len();
-    if workers <= 1 || n <= 1 {
+    if workers <= 1 || n <= 1 || IN_WORKER.with(Cell::get) {
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
@@ -43,6 +56,7 @@ where
         let handles: Vec<_> = (0..workers.min(n))
             .map(|_| {
                 s.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -118,6 +132,26 @@ mod tests {
             x
         });
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn nested_calls_map_on_the_worker() {
+        let outer: Vec<u64> = (0..4).collect();
+        let inner: Vec<u64> = (0..16).collect();
+        let out = parallel_map(&outer, 2, |&x| {
+            let me = std::thread::current().id();
+            let nested = parallel_map(&inner, 4, |&y| (std::thread::current().id(), x * 100 + y));
+            assert!(nested.iter().all(|&(id, _)| id == me));
+            nested.into_iter().map(|(_, v)| v).sum::<u64>()
+        });
+        let expect: Vec<u64> = outer
+            .iter()
+            .map(|&x| inner.iter().map(|&y| x * 100 + y).sum())
+            .collect();
+        assert_eq!(out, expect);
+        // Outside a worker the same call fans out again.
+        let ids = parallel_map(&inner, 4, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id != std::thread::current().id()));
     }
 
     #[test]

@@ -310,6 +310,9 @@ pub(crate) struct Chaos {
     /// bursts (bounded, deterministic order).
     recent_writes: VecDeque<LineAddr>,
     log: Vec<FaultEvent>,
+    /// When the schedule was last polled: the time a storm ended by
+    /// replacing the plan is logged at.
+    last_poll: Cycle,
 }
 
 impl Chaos {
@@ -320,6 +323,7 @@ impl Chaos {
             rng,
             recent_writes: VecDeque::new(),
             log: Vec::new(),
+            last_poll: Cycle::ZERO,
         }
     }
 }
@@ -329,16 +333,28 @@ impl MemoryController {
     /// fire as the committed-write counter crosses their trigger points,
     /// polled after every bank operation in the controller's global
     /// `(completion time, bank)` order, so the scenario's shared draw
-    /// order is well-defined.
+    /// order is well-defined. A storm the replaced plan left open ends
+    /// here, with an `EndStorm` logged at the last poll.
     ///
     /// # Errors
     ///
     /// Rejects a plan holding an invalid fault ([`ChaosError`]) and
     /// leaves the controller as it was.
     pub fn install_chaos(&mut self, plan: FaultPlan) -> Result<(), ChaosError> {
-        self.chaos.schedule = Some(Schedule::new(plan.validated()?));
+        let old = self
+            .chaos
+            .schedule
+            .replace(Schedule::new(plan.validated()?));
+        if old.is_some_and(|s| s.storm_until.is_some()) {
+            let committed = self.committed_writes();
+            self.execute_chaos(ChaosAction::EndStorm, committed, self.chaos.last_poll);
+        }
         self.sh.track_commits = true;
         Ok(())
+    }
+
+    fn committed_writes(&self) -> u64 {
+        self.lanes.iter().map(|l| l.stats.writes.get()).sum()
     }
 
     /// Every chaos action executed so far, in order. Two same-seed runs
@@ -361,7 +377,8 @@ impl MemoryController {
             if recent.len() > RECENT_WRITES_CAP {
                 recent.pop_front();
             }
-            let committed: u64 = self.lanes.iter().map(|l| l.stats.writes.get()).sum();
+            let committed = self.committed_writes();
+            self.chaos.last_poll = at;
             let Some(schedule) = &mut self.chaos.schedule else {
                 continue;
             };
@@ -516,6 +533,41 @@ mod tests {
             .is_err());
         let kept = ctrl.chaos.schedule.as_ref().unwrap();
         assert_eq!(kept.plan, FaultPlan::new().aging_ramp(3, 0.5));
+    }
+
+    #[test]
+    fn replacing_a_plan_ends_its_open_storm() {
+        use crate::ctrl::testkit::{ctrl, line, patterned, run_until_idle, write};
+        let mut c = ctrl(crate::CtrlScheme::lazyc());
+        c.install_chaos(FaultPlan::new().storm(1, 2.0, 5)).unwrap();
+        // Commits write `n` to a line of its own.
+        let commit = |c: &mut MemoryController, n: u64| {
+            let t = Cycle(n * 100_000);
+            c.submit(write(n, line(1, n as u32, 0), patterned(n), t), t)
+                .unwrap();
+            let _ = run_until_idle(c);
+        };
+        commit(&mut c, 1);
+        assert_eq!(c.sh.injector.storm(), 2.0, "the storm fired");
+        c.install_chaos(FaultPlan::new()).unwrap();
+        for n in 2..=12 {
+            commit(&mut c, n);
+        }
+        assert_eq!(c.stats().writes.get(), 12);
+        assert_eq!(c.sh.injector.storm(), 1.0);
+        let actions: Vec<_> = c
+            .fault_log()
+            .iter()
+            .map(|e| (e.at_write, e.action))
+            .collect();
+        assert_eq!(
+            actions,
+            vec![
+                (1, ChaosAction::BeginStorm { mult: 2.0 }),
+                (1, ChaosAction::EndStorm)
+            ]
+        );
+        assert_eq!(c.fault_log()[1].at_cycle, c.fault_log()[0].at_cycle);
     }
 
     #[test]

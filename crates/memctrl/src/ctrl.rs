@@ -396,8 +396,9 @@ impl MemoryController {
     /// write payloads and by tests to check consistency.
     #[must_use]
     pub fn architectural_line(&self, addr: LineAddr) -> LineBuf {
-        self.lanes[addr.bank.0 as usize]
-            .architectural(&self.sh.codec, addr, || self.store.read_line(addr))
+        self.lanes[addr.bank.0 as usize].architectural(&self.sh.codec, addr, || {
+            (self.store.read_line(addr), self.store.din_flags(addr))
+        })
     }
 
     /// Whether a write to `addr` can be accepted right now without

@@ -54,9 +54,11 @@ pub(crate) struct LaneShared {
 
 /// All mutable per-bank controller state.
 ///
-/// Each bank owns its queues, its architectural metadata (DIN flags,
-/// salvage pool, degradation ladder), and — crucially — its *own
-/// permanent accumulators* (statistics, energy). Per-bank accumulation
+/// Each bank owns its queues, its architectural metadata (salvage pool,
+/// degradation ladder, first-touch planting), and — crucially — its
+/// *own permanent accumulators* (statistics, energy). A line's DIN flags
+/// and injection epoch live in its device-store record, behind the
+/// [`StoreLane`] accessors. Per-bank accumulation
 /// keeps every floating-point and histogram sum in a fixed bank-local
 /// order regardless of the order lanes are processed in;
 /// [`crate::MemoryController::stats`] folds the lanes together in bank
@@ -66,8 +68,6 @@ pub(crate) struct LaneShared {
 pub(crate) struct LaneState {
     bank_id: u16,
     pub(crate) bank: Bank,
-    /// DIN flags of lines in this bank.
-    pub(crate) flags: FxHashMap<LineAddr, DinFlags>,
     /// Decommissioned lines and their architectural contents, served
     /// from controller buffers at [`FORWARD_LATENCY`].
     pub(crate) salvaged: FxHashMap<LineAddr, LineBuf>,
@@ -77,11 +77,6 @@ pub(crate) struct LaneState {
     pub(crate) distress: FxHashMap<LineAddr, u32>,
     /// Lines whose first-touch hard errors have been planted.
     pub(crate) planted: FxHashSet<LineAddr>,
-    /// Injection epoch per line: how many programming operations have
-    /// disturbed from this line so far. Keys the injector's event
-    /// stream, making each injection's draws independent of every
-    /// other line's activity.
-    pub(crate) inject_epochs: FxHashMap<LineAddr, u64>,
     /// This lane's statistics slice (bank-local accumulation order).
     pub(crate) stats: CtrlStats,
     /// This lane's energy slice.
@@ -106,11 +101,9 @@ impl LaneState {
         LaneState {
             bank_id,
             bank: Bank::default(),
-            flags: FxHashMap::default(),
             salvaged: FxHashMap::default(),
             distress: FxHashMap::default(),
             planted: FxHashSet::default(),
-            inject_epochs: FxHashMap::default(),
             stats: CtrlStats::new(),
             energy: EnergyMeter::new(EnergyParams::default()),
             pending_anomaly: None,
@@ -122,20 +115,21 @@ impl LaneState {
     }
 
     /// The architectural (error-corrected, DIN-decoded) contents of
-    /// `addr`, given its ECP-patched array read. Salvaged lines answer
-    /// from their buffer without reading the array.
+    /// `addr`, given its ECP-patched array read and its stored DIN flags.
+    /// Salvaged lines answer from their buffer without reading the
+    /// array.
     pub(crate) fn architectural(
         &self,
         codec: &DinCodec,
         addr: LineAddr,
-        patched: impl FnOnce() -> LineBuf,
+        read: impl FnOnce() -> (LineBuf, u64),
     ) -> LineBuf {
         match self.salvaged.get(&addr) {
             Some(data) => *data,
-            None => codec.decode(
-                &patched(),
-                self.flags.get(&addr).copied().unwrap_or_default(),
-            ),
+            None => {
+                let (patched, flags) = read();
+                codec.decode(&patched, DinFlags(flags))
+            }
         }
     }
 
@@ -176,8 +170,9 @@ impl Lane<'_, '_> {
     /// The architectural (error-corrected, DIN-decoded) contents of a
     /// line in this bank — zero simulated time.
     pub(crate) fn architectural_line(&self, addr: LineAddr) -> LineBuf {
-        self.ls
-            .architectural(&self.sh.codec, addr, || self.store.read_line(addr))
+        self.ls.architectural(&self.sh.codec, addr, || {
+            (self.store.read_line(addr), self.store.din_flags(addr))
+        })
     }
 
     /// Queues a completion on the controller-wide queue: a read's when
@@ -620,6 +615,7 @@ impl Lane<'_, '_> {
 #[cfg(test)]
 mod tests {
     use sdpcm_engine::Cycle;
+    use sdpcm_pcm::line::DiffMask;
 
     use crate::ctrl::testkit::*;
     use crate::req::ReqId;
@@ -812,6 +808,25 @@ mod tests {
         assert_eq!(read_done.at, Cycle(500), "read served right after cancel");
         // The cancelled write still commits eventually.
         assert_eq!(c.architectural_line(w), patterned(7));
+    }
+
+    #[test]
+    fn cancelled_injection_on_an_unwritten_line_keeps_only_its_epoch() {
+        // The collateral injection of a cancelled write to a line never
+        // written, whose diff programs no cell: no victim anywhere.
+        let mut c = ctrl(CtrlScheme::lazyc().with_write_cancellation());
+        let a = line(2, 50, 3);
+        let (lines, digest) = (c.store().materialized_lines(), c.store().content_digest());
+        let hits = with_lane(&mut c, 2, |lane| {
+            assert!(lane.absorb_cancel_collateral(a, &DiffMask::empty()));
+            lane.ls.bl_hits.clone()
+        });
+        assert_eq!(hits, [Vec::<u16>::new(), Vec::new()]);
+        assert_eq!(c.store().materialized_lines(), lines);
+        assert_eq!(c.store().content_digest(), digest);
+        // The cancelled epoch stays consumed: the next injection from the
+        // line draws from epoch 1.
+        assert_eq!(with_lane(&mut c, 2, |lane| lane.store.inject_epoch(a)), 1);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use sdpcm_pcm::ecp::EcpKind;
 use sdpcm_pcm::geometry::LineAddr;
 use sdpcm_pcm::line::DiffMask;
 use sdpcm_pcm::wear::WriteClass;
+use sdpcm_wd::din::DinFlags;
 
 use crate::lane::Lane;
 use crate::req::AccessKind;
@@ -46,7 +47,7 @@ impl Lane<'_, '_> {
                 };
                 self.plant_hard(addr);
                 let raw_old = self.store.raw_line(addr);
-                let old_flags = self.ls.flags.get(&addr).copied().unwrap_or_default();
+                let old_flags = DinFlags(self.store.din_flags(addr));
                 let (encoded, new_flags) = self.sh.codec.encode(&plain, &raw_old, old_flags);
                 let diff = DiffMask::between(&raw_old, &encoded);
                 let dur = t.write_latency(&diff);
@@ -94,7 +95,7 @@ impl Lane<'_, '_> {
                     .charge_write(diff.set_count(), diff.reset_count(), false);
                 self.store.apply_write(addr, &diff, WriteClass::Normal);
                 self.store.refresh_hard_values(addr, &encoded);
-                self.ls.flags.insert(addr, job.new_flags);
+                self.store.set_din_flags(addr, job.new_flags.0);
                 // A normal write clears the line's own buffered WD errors
                 // (LazyCorrection consolidation, §4.2).
                 self.store.ecp_mut(addr).clear_disturb();
@@ -223,33 +224,31 @@ impl Lane<'_, '_> {
     ///
     /// Every injection draws from the injector's *event stream* keyed
     /// by `(line, epoch)` — the line's stable address key plus a
-    /// per-line count of programming operations — so the outcome
-    /// depends only on the line's own history, never on what other
-    /// lines (or banks) did in between. All buffers are lane-held
-    /// scratch — the hot path allocates nothing once their capacities
-    /// have grown.
+    /// per-line count of programming operations, kept in the line's
+    /// store record — so the outcome depends only on the line's own
+    /// history, never on what other lines (or banks) did in between.
+    /// The written line and each neighbour are looked up once, and
+    /// their victims are applied through that record. All buffers are
+    /// lane-held scratch — the hot path allocates nothing once their
+    /// capacities have grown.
     pub(crate) fn inject_for(
         &mut self,
         addr: LineAddr,
         diff: &DiffMask,
         wl_out: Option<&mut Vec<u16>>,
     ) -> usize {
-        let epoch = {
-            let e = self.ls.inject_epochs.entry(addr).or_insert(0);
-            let epoch = *e;
-            *e += 1;
-            epoch
-        };
-        let ev = self.sh.injector.event(addr.stream_key(), epoch);
-        let after = self.store.raw_line(addr);
+        let injector = &self.sh.injector;
         let mut wl = std::mem::take(&mut self.ls.wl_scratch);
-        self.sh
-            .injector
-            .draw_wordline_into(&ev, &after, diff, &mut wl);
-        // Only cells that physically flipped count: stuck cells cannot
-        // crystallize, and the hardware's pre/post-read comparison would
-        // show no change for them either.
-        wl.retain(|&bit| self.store.inject_disturb(addr, bit));
+        let ev = self
+            .store
+            .disturb_programmed_with(addr, &mut wl, |epoch, after, wl| {
+                let ev = injector.event(addr.stream_key(), epoch);
+                injector.draw_wordline_into(&ev, after, diff, wl);
+                ev
+            });
+        // The store keeps only cells that physically flipped: stuck
+        // cells cannot crystallize, and the hardware's pre/post-read
+        // comparison would show no change for them either.
         let wl_count = wl.len();
         if let Some(out) = wl_out {
             out.extend_from_slice(&wl);
@@ -263,11 +262,9 @@ impl Lane<'_, '_> {
                 // Decommissioned lines are no longer programmed in the
                 // array, so they can neither disturb nor be disturbed.
                 if !self.ls.salvaged.contains_key(&n) {
-                    let raw = self.store.raw_line(n);
-                    self.sh
-                        .injector
-                        .draw_bitline_into(&ev, side.idx(), diff, &raw, &mut victims);
-                    victims.retain(|&bit| self.store.inject_disturb(n, bit));
+                    self.store.disturb_with(n, &mut victims, |raw, v| {
+                        injector.draw_bitline_into(&ev, side.idx(), diff, raw, v);
+                    });
                 }
             }
             self.ls.bl_hits[side.idx()] = victims;

@@ -98,7 +98,9 @@ impl Lane<'_, '_> {
         if let Some(paused) = &self.ls.bank.paused {
             cleanse_job_disturbances(&self.sh.geometry, paused, line, &mut patched);
         }
-        let data = self.ls.architectural(&self.sh.codec, line, || patched);
+        let data = self.ls.architectural(&self.sh.codec, line, || {
+            (patched, self.store.din_flags(line))
+        });
         self.ls.salvaged.insert(line, data);
         self.ls.distress.remove(&line);
         self.ls.stats.decommissions.inc();

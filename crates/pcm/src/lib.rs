@@ -17,8 +17,9 @@
 //!   wave accounting.
 //! * [`ecp`] — Error-Correcting-Pointer tables (ECP-N), shared between
 //!   hard errors (priority) and LazyCorrection's buffered WD errors.
-//! * [`store`] — a sparse device store: only touched rows are
-//!   materialized, so the full 8 GB address space costs megabytes.
+//! * [`store`] — a sparse device store: one record per touched line
+//!   (cells, ECP table, DIN flags, injection epoch), so the full 8 GB
+//!   address space costs megabytes.
 //! * [`timing`] — SET/RESET/read latencies and differential write latency.
 //! * [`wear`] — cell-write accounting and the hard-error population model
 //!   used for the lifetime experiments (Figures 14, 17, 18).
@@ -38,6 +39,6 @@ pub use ecp::{EcpEntry, EcpKind, EcpTable};
 pub use energy::{EnergyMeter, EnergyParams};
 pub use geometry::{BankId, LineAddr, MemGeometry, PageId, RowId};
 pub use line::{DiffMask, LineBuf, LINE_BITS, LINE_BYTES};
-pub use store::{DeviceStore, InitContent, LineState};
+pub use store::{DeviceStore, InitContent};
 pub use timing::PcmTiming;
 pub use wear::{HardErrorModel, WearMeter};

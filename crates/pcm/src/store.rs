@@ -1,11 +1,21 @@
-//! Sparse device store: the actual cell contents of the PCM DIMM.
+//! Sparse device store: the actual cell contents of the PCM DIMM, and
+//! the per-line state the controller keeps beside them.
 //!
-//! Only lines that have been touched by a write, a disturbance, or an
-//! ECP/hard-error event are materialized (64 B of data plus the line's
-//! ECP table and stuck-cell list), so simulating the full 8 GB address
-//! space costs host memory proportional to the set of *written* lines.
-//! Untouched lines read as their [`InitContent`] — all-zero for a fresh
-//! array, or deterministic pseudorandom data modelling a running system.
+//! Each bank keeps one record per touched line: the line's 64 B of
+//! data, its ECP table and stuck-cell list, its DIN flags and its
+//! injection epoch. Records live in an append-only slab of fixed-size
+//! chunks, found through a compact index keyed `row << 6 | slot`, so a
+//! lookup probes a table of 8-byte buckets and growth never moves a
+//! record. Host memory scales with the set of touched lines, never with
+//! the address space.
+//!
+//! A line is *materialized* once a write, a disturbance or an
+//! ECP/hard-error event has touched its cells. A record that so far
+//! carries only DIN flags or an injection epoch is not: like an
+//! untouched line, it reads as its [`InitContent`] (all-zero for a fresh
+//! array, or deterministic pseudorandom data modelling a running
+//! system) and stays out of [`DeviceStore::materialized_lines`] and
+//! [`DeviceStore::content_digest`]. Reads never materialize a line.
 //!
 //! The store exposes *device-level* primitives — raw reads, applying a
 //! differential-write mask, crystallizing a disturbed cell, planting hard
@@ -22,21 +32,48 @@ use crate::geometry::{LineAddr, MemGeometry, LINES_PER_ROW};
 use crate::line::{DiffMask, LineBuf};
 use crate::wear::{WearMeter, WriteClass};
 
-/// Materialized state of one 64 B line.
+#[cfg(test)]
+mod oracle;
+
+/// Bits of a line's index key that hold its slot within the row.
+const SLOT_BITS: u32 = LINES_PER_ROW.trailing_zeros();
+const _: () = assert!(LINES_PER_ROW == 1 << SLOT_BITS);
+
+/// Records per slab chunk (about 18 KiB).
+const CHUNK: usize = 128;
+
+/// The index key of a line within its bank.
+fn key_of(addr: LineAddr) -> u32 {
+    addr.row.0 << SLOT_BITS | u32::from(addr.slot)
+}
+
+/// Everything kept about one touched line: its cells and the
+/// controller's per-line metadata.
 #[derive(Debug, Clone)]
-pub struct LineState {
+struct LineRecord {
     data: LineBuf,
     ecp: EcpTable,
     stuck: Vec<(u16, bool)>,
+    /// DIN inversion flags of the stored encoding.
+    din_flags: u64,
+    /// Programming operations that have disturbed from this line so far.
+    inject_epoch: u64,
+    /// The line's index key.
+    key: u32,
+    /// Whether the cells have been touched; until then `data`, `ecp`
+    /// and `stuck` are unused and the line reads as its initial content.
+    materialized: bool,
 }
 
-impl LineState {
-    fn new(ecp_entries: usize) -> LineState {
-        LineState {
-            data: LineBuf::zeroed(),
-            ecp: EcpTable::new(ecp_entries),
-            stuck: Vec::new(),
+impl LineRecord {
+    /// Crystallizes one idle amorphous cell (see
+    /// [`StoreLane::inject_disturb`]).
+    fn disturb(&mut self, bit: u16) -> bool {
+        if self.stuck.iter().any(|&(b, _)| b == bit) || self.data.bit(bit as usize) {
+            return false;
         }
+        self.data.set_bit(bit as usize, true);
+        true
     }
 }
 
@@ -83,20 +120,87 @@ pub struct DeviceStore {
     banks: Vec<BankStore>,
 }
 
-/// The materialized lines and wear tally of a single bank.
+/// The line records and wear tally of a single bank.
 ///
 /// Keeping wear accounting per bank (merged on read) means each bank lane
 /// charges wear in its own bank-local event order, so totals are
 /// independent of the order lanes are processed in.
 #[derive(Debug, Default)]
 struct BankStore {
-    lines: FxHashMap<(u32, u8), LineState>,
+    /// Line key → position in `slab`.
+    index: FxHashMap<u32, u32>,
+    /// The records in the order they were first touched, in chunks of
+    /// [`CHUNK`] that are never reallocated.
+    slab: Vec<Vec<LineRecord>>,
+    /// Materialized records.
+    materialized: usize,
     wear: WearMeter,
 }
 
 impl BankStore {
-    fn line(&self, addr: LineAddr) -> Option<&LineState> {
-        self.lines.get(&(addr.row.0, addr.slot))
+    fn at(&self, i: u32) -> &LineRecord {
+        &self.slab[i as usize / CHUNK][i as usize % CHUNK]
+    }
+
+    fn at_mut(&mut self, i: u32) -> &mut LineRecord {
+        &mut self.slab[i as usize / CHUNK][i as usize % CHUNK]
+    }
+
+    fn record(&self, addr: LineAddr) -> Option<&LineRecord> {
+        self.index.get(&key_of(addr)).map(|&i| self.at(i))
+    }
+
+    fn line(&self, addr: LineAddr) -> Option<&LineRecord> {
+        self.record(addr).filter(|r| r.materialized)
+    }
+
+    /// The slab position of `addr`'s record, appending an unmaterialized
+    /// one on first use.
+    fn position(&mut self, ecp_entries: usize, addr: LineAddr) -> u32 {
+        let key = key_of(addr);
+        let next = self.index.len() as u32;
+        let i = *self.index.entry(key).or_insert(next);
+        if i == next {
+            let rec = LineRecord {
+                data: LineBuf::zeroed(),
+                ecp: EcpTable::new(ecp_entries),
+                stuck: Vec::new(),
+                din_flags: 0,
+                inject_epoch: 0,
+                key,
+                materialized: false,
+            };
+            match self.slab.last_mut() {
+                Some(chunk) if chunk.len() < CHUNK => chunk.push(rec),
+                _ => {
+                    let mut chunk = Vec::with_capacity(CHUNK);
+                    chunk.push(rec);
+                    self.slab.push(chunk);
+                }
+            }
+        }
+        i
+    }
+
+    /// The record at slab position `i`, its cells set to `addr`'s initial
+    /// content if they were untouched.
+    fn materialize(&mut self, i: u32, init: InitContent, addr: LineAddr) -> &mut LineRecord {
+        let rec = &mut self.slab[i as usize / CHUNK][i as usize % CHUNK];
+        if !rec.materialized {
+            rec.data = initial_line_of(init, addr);
+            rec.materialized = true;
+            self.materialized += 1;
+        }
+        rec
+    }
+
+    /// Raw contents of the record at `i` (initial content if untouched).
+    fn raw_at(&self, i: Option<u32>, init: InitContent, addr: LineAddr) -> LineBuf {
+        let _t = prof::timer(Site::StoreRead);
+        match i.map(|i| self.at(i)) {
+            Some(r) if r.materialized => r.data,
+            _ => initial_line_of(init, addr),
+        }
     }
 
     /// See [`DeviceStore::read_line`].
@@ -112,6 +216,11 @@ impl BankStore {
     /// See [`DeviceStore::hard_error_count`].
     fn hard_error_count(&self, addr: LineAddr) -> usize {
         self.line(addr).map_or(0, |l| l.stuck.len())
+    }
+
+    /// See [`DeviceStore::din_flags`].
+    fn din_flags(&self, addr: LineAddr) -> u64 {
+        self.record(addr).map_or(0, |r| r.din_flags)
     }
 }
 
@@ -132,14 +241,26 @@ pub struct StoreLane<'a> {
 
 impl DeviceStore {
     /// Creates an all-zero (fully amorphous) store.
+    ///
+    /// # Panics
+    /// As [`DeviceStore::with_init`].
     #[must_use]
     pub fn new(geometry: MemGeometry, ecp_entries: usize) -> DeviceStore {
         DeviceStore::with_init(geometry, ecp_entries, InitContent::Zeroed)
     }
 
     /// Creates a store with the given initial-content policy.
+    ///
+    /// # Panics
+    /// Panics if a bank has more than 2^26 rows, whose lines would not
+    /// fit the 32-bit index key.
     #[must_use]
     pub fn with_init(geometry: MemGeometry, ecp_entries: usize, init: InitContent) -> DeviceStore {
+        assert!(
+            u64::from(geometry.rows_per_bank()) << SLOT_BITS <= 1 << 32,
+            "{} rows per bank overflow the store's line index",
+            geometry.rows_per_bank()
+        );
         DeviceStore {
             geometry,
             ecp_entries,
@@ -182,7 +303,7 @@ impl DeviceStore {
     /// Number of materialized lines (test/diagnostic aid).
     #[must_use]
     pub fn materialized_lines(&self) -> usize {
-        self.banks.iter().map(|b| b.lines.len()).sum()
+        self.banks.iter().map(|b| b.materialized).sum()
     }
 
     /// Mutable view of one bank, for the controller's bank lanes.
@@ -218,14 +339,21 @@ impl DeviceStore {
         self.banks[addr.bank.0 as usize].hard_error_count(addr)
     }
 
+    /// The DIN inversion flags stored with a line (`0` until set).
+    #[must_use]
+    pub fn din_flags(&self, addr: LineAddr) -> u64 {
+        self.banks[addr.bank.0 as usize].din_flags(addr)
+    }
+
     /// Digest of all materialized device state (raw data, ECP tables,
     /// stuck cells). Each line is hashed on its own (FNV-1a over the
     /// line's address and state) and the per-line digests are combined
-    /// with a commutative sum, so the value is independent of hash-map
-    /// iteration order *without* collecting and sorting the keys on
-    /// every call. Two runs of the same seeded simulation must end with
-    /// identical digests — the reproducibility tests compare this
-    /// instead of dumping 8 GB.
+    /// with a commutative sum, so the value is independent of slab order
+    /// *without* collecting and sorting the keys on every call. DIN
+    /// flags and injection epochs are not device content and stay out.
+    /// Two runs of the same seeded simulation must end with identical
+    /// digests — the reproducibility tests compare this instead of
+    /// dumping 8 GB.
     #[must_use]
     pub fn content_digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -233,7 +361,7 @@ impl DeviceStore {
         let mut total: u64 = 0;
         let mut count: u64 = 0;
         for (bank, store) in self.banks.iter().enumerate() {
-            for (key, line) in &store.lines {
+            for line in store.slab.iter().flatten().filter(|r| r.materialized) {
                 let mut h = OFFSET;
                 let mut mix = |v: u64| {
                     for byte in v.to_le_bytes() {
@@ -241,7 +369,8 @@ impl DeviceStore {
                     }
                 };
                 mix(bank as u64);
-                mix(u64::from(key.0) << 8 | u64::from(key.1));
+                let (row, slot) = (line.key >> SLOT_BITS, line.key & ((1 << SLOT_BITS) - 1));
+                mix(u64::from(row) << 8 | u64::from(slot));
                 for &w in line.data.words() {
                     mix(w);
                 }
@@ -270,16 +399,21 @@ impl<'a> StoreLane<'a> {
         self.bank_id
     }
 
-    fn line(&self, addr: LineAddr) -> Option<&LineState> {
-        debug_assert_eq!(addr.bank.0, self.bank_id, "address outside lane bank");
-        self.bank.line(addr)
-    }
-
-    fn line_mut(&mut self, addr: LineAddr) -> &mut LineState {
+    fn check(&self, addr: LineAddr) {
         debug_assert_eq!(addr.bank.0, self.bank_id, "address outside lane bank");
         debug_assert!(addr.row.0 < self.geometry.rows_per_bank());
         debug_assert!((addr.slot as usize) < LINES_PER_ROW);
-        materialize_line(self.bank, self.init, self.ecp_entries, addr)
+    }
+
+    fn line(&self, addr: LineAddr) -> Option<&LineRecord> {
+        self.check(addr);
+        self.bank.line(addr)
+    }
+
+    fn line_mut(&mut self, addr: LineAddr) -> &mut LineRecord {
+        self.check(addr);
+        let i = self.bank.position(self.ecp_entries, addr);
+        self.bank.materialize(i, self.init, addr)
     }
 
     /// The initial content of an untouched line.
@@ -300,7 +434,7 @@ impl<'a> StoreLane<'a> {
     /// Architectural read (see [`DeviceStore::read_line`]).
     #[must_use]
     pub fn read_line(&self, addr: LineAddr) -> LineBuf {
-        debug_assert_eq!(addr.bank.0, self.bank_id, "address outside lane bank");
+        self.check(addr);
         self.bank.read_line(self.init, addr)
     }
 
@@ -329,15 +463,80 @@ impl<'a> StoreLane<'a> {
     /// Returns whether the cell actually changed state — stuck cells are
     /// unaffected, and an already-crystalline cell cannot flip again.
     pub fn inject_disturb(&mut self, addr: LineAddr, bit: u16) -> bool {
-        let line = self.line_mut(addr);
-        if line.stuck.iter().any(|&(b, _)| b == bit) {
-            return false;
+        self.line_mut(addr).disturb(bit)
+    }
+
+    /// Disturbs a line in one lookup. `draw` is handed the line's raw
+    /// contents and lists candidate victim cells in `victims`; those that
+    /// physically flip (as [`StoreLane::inject_disturb`] judges) stay
+    /// listed, the rest are dropped. An untouched line materializes only
+    /// when one of its cells flips.
+    pub fn disturb_with(
+        &mut self,
+        addr: LineAddr,
+        victims: &mut Vec<u16>,
+        draw: impl FnOnce(&LineBuf, &mut Vec<u16>),
+    ) {
+        self.check(addr);
+        let found = self.bank.index.get(&key_of(addr)).copied();
+        let raw = self.bank.raw_at(found, self.init, addr);
+        draw(&raw, victims);
+        if !victims.is_empty() {
+            let i = match found {
+                Some(i) => i,
+                None => self.bank.position(self.ecp_entries, addr),
+            };
+            let rec = self.bank.materialize(i, self.init, addr);
+            victims.retain(|&bit| rec.disturb(bit));
         }
-        if line.data.bit(bit as usize) {
-            return false;
+    }
+
+    /// [`StoreLane::disturb_with`] for a line being programmed, which
+    /// also takes the line's next injection epoch: `draw` receives it
+    /// with the raw contents, and its result is returned. The epoch
+    /// count is kept even when no cell flips, on a record that stays
+    /// unmaterialized until the line's cells are touched.
+    pub fn disturb_programmed_with<R>(
+        &mut self,
+        addr: LineAddr,
+        victims: &mut Vec<u16>,
+        draw: impl FnOnce(u64, &LineBuf, &mut Vec<u16>) -> R,
+    ) -> R {
+        self.check(addr);
+        let i = self.bank.position(self.ecp_entries, addr);
+        let rec = self.bank.at_mut(i);
+        let epoch = rec.inject_epoch;
+        rec.inject_epoch += 1;
+        let raw = self.bank.raw_at(Some(i), self.init, addr);
+        let out = draw(epoch, &raw, victims);
+        if !victims.is_empty() {
+            let rec = self.bank.materialize(i, self.init, addr);
+            victims.retain(|&bit| rec.disturb(bit));
         }
-        line.data.set_bit(bit as usize, true);
-        true
+        out
+    }
+
+    /// Injection epochs a line has used so far: the next injection from
+    /// it draws from this epoch.
+    #[must_use]
+    pub fn inject_epoch(&self, addr: LineAddr) -> u64 {
+        self.check(addr);
+        self.bank.record(addr).map_or(0, |r| r.inject_epoch)
+    }
+
+    /// The DIN inversion flags stored with a line (`0` until set).
+    #[must_use]
+    pub fn din_flags(&self, addr: LineAddr) -> u64 {
+        self.check(addr);
+        self.bank.din_flags(addr)
+    }
+
+    /// Stores a line's DIN inversion flags. Metadata only: the line's
+    /// cells are not touched, so this alone does not materialize it.
+    pub fn set_din_flags(&mut self, addr: LineAddr, flags: u64) {
+        self.check(addr);
+        let i = self.bank.position(self.ecp_entries, addr);
+        self.bank.at_mut(i).din_flags = flags;
     }
 
     /// Plants a permanent stuck-at fault and records it in the line's ECP
@@ -377,8 +576,7 @@ impl<'a> StoreLane<'a> {
     /// `intended` is the data the write was supposed to store.
     pub fn refresh_hard_values(&mut self, addr: LineAddr, intended: &LineBuf) {
         let line = self.line_mut(addr);
-        let stuck = line.stuck.clone();
-        for (bit, _) in stuck {
+        for &(bit, _) in &line.stuck {
             line.ecp
                 .try_record(bit, intended.bit(bit as usize), EcpKind::Hard);
         }
@@ -399,7 +597,7 @@ impl<'a> StoreLane<'a> {
     /// Number of stuck cells planted on a line.
     #[must_use]
     pub fn hard_error_count(&self, addr: LineAddr) -> usize {
-        debug_assert_eq!(addr.bank.0, self.bank_id, "address outside lane bank");
+        self.check(addr);
         self.bank.hard_error_count(addr)
     }
 
@@ -407,21 +605,6 @@ impl<'a> StoreLane<'a> {
     pub fn charge_ecp_record(&mut self) {
         self.bank.wear.charge_ecp_record();
     }
-}
-
-fn materialize_line(
-    bank: &mut BankStore,
-    init: InitContent,
-    ecp_entries: usize,
-    addr: LineAddr,
-) -> &mut LineState {
-    bank.lines
-        .entry((addr.row.0, addr.slot))
-        .or_insert_with(|| {
-            let mut l = LineState::new(ecp_entries);
-            l.data = initial_line_of(init, addr);
-            l
-        })
 }
 
 fn initial_line_of(init: InitContent, addr: LineAddr) -> LineBuf {
@@ -453,9 +636,12 @@ fn splitmix64(mut x: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::MapStore;
     use super::*;
     use crate::geometry::{BankId, RowId};
     use crate::wear::WriteClass;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn addr(bank: u16, row: u32, slot: u8) -> LineAddr {
         LineAddr {
@@ -635,5 +821,260 @@ mod tests {
         write(&mut dev, a, &data);
         assert_eq!(dev.read_line(b), LineBuf::zeroed());
         assert_eq!(dev.materialized_lines(), 1);
+    }
+
+    #[test]
+    fn flag_and_epoch_records_stay_invisible() {
+        let init = InitContent::Pseudorandom(7);
+        let mut dev = DeviceStore::with_init(MemGeometry::small(64), 6, init);
+        let empty = dev.content_digest();
+        let a = addr(2, 9, 4);
+        let mut lane = dev.lane_mut(2);
+        let mut victims = Vec::new();
+        let epoch = lane.disturb_programmed_with(a, &mut victims, |epoch, raw, _| {
+            assert_eq!(*raw, initial_line_of(init, a));
+            epoch
+        });
+        assert_eq!(epoch, 0);
+        lane.set_din_flags(a, 0b101);
+        lane.disturb_with(addr(2, 10, 4), &mut victims, |_, _| {});
+        assert_eq!(lane.inject_epoch(a), 1);
+        assert_eq!(lane.din_flags(a), 0b101);
+        assert_eq!(lane.ecp_ref(a), None);
+        assert_eq!(dev.materialized_lines(), 0);
+        assert_eq!(dev.content_digest(), empty);
+        assert_eq!(dev.read_line(a), dev.initial_line(a));
+        // Touching the cells materializes the record from the line's
+        // initial content, keeping its metadata.
+        let mut lane = dev.lane_mut(2);
+        assert!(
+            lane.disturb_programmed_with(a, &mut victims, |epoch, raw, v| {
+                v.extend(raw.not().iter_ones().take(2).map(|b| b as u16));
+                epoch == 1
+            })
+        );
+        assert_eq!(victims.len(), 2);
+        assert_eq!(lane.inject_epoch(a), 2);
+        assert_eq!(lane.din_flags(a), 0b101);
+        assert_eq!(dev.materialized_lines(), 1);
+        let mut expect = dev.initial_line(a);
+        for &b in &victims {
+            expect.set_bit(b as usize, true);
+        }
+        assert_eq!(dev.read_line(a), expect);
+    }
+
+    #[test]
+    fn digest_is_independent_of_slab_order() {
+        let lines = [addr(0, 1, 2), addr(0, 63, 63), addr(0, 2, 1), addr(5, 1, 2)];
+        let build = |order: &[usize]| {
+            let mut dev = store();
+            for &i in order {
+                let a = lines[i];
+                dev.lane_mut(a.bank.0).inject_disturb(a, i as u16);
+            }
+            dev.content_digest()
+        };
+        assert_eq!(build(&[0, 1, 2, 3]), build(&[3, 2, 1, 0]));
+        assert_ne!(build(&[0, 1, 2, 3]), build(&[0, 1, 2]));
+    }
+
+    fn mix(x: u64) -> u64 {
+        splitmix64(x)
+    }
+
+    /// A victim list drawn from `r`: none, or up to four cells, half the
+    /// time only among cells that `raw` holds at `0`.
+    fn draw_victims(r: u64, raw: &LineBuf, out: &mut Vec<u16>) {
+        out.clear();
+        for j in 0..r % 5 {
+            let x = mix(r.wrapping_add(j));
+            out.push(if x & 1 == 0 {
+                (x >> 1) % 8
+            } else {
+                (x >> 1) % 512
+            } as u16);
+        }
+        if r >> 63 == 1 {
+            out.retain(|&b| !raw.bit(b as usize));
+        }
+    }
+
+    /// Drives the slab store and the map-based oracle with the same
+    /// operations and compares everything observable after each one.
+    fn check_against_oracle(init: InitContent, ops: impl IntoIterator<Item = (u8, u32, u64)>) {
+        let geometry = MemGeometry::small(64);
+        let mut dev = DeviceStore::with_init(geometry, 4, init);
+        let mut oracle = MapStore::new(geometry, 4, init);
+        let mut victims = Vec::new();
+        let mut expect = Vec::new();
+        for (n, (op, a, r)) in ops.into_iter().enumerate() {
+            // A few lines, at the corners of the key space, so that
+            // operations keep meeting on the same records.
+            let line = addr(
+                (a % 3) as u16,
+                [0, 1, 2, 31, 62, 63][(a >> 2) as usize % 6],
+                [0, 1, 62, 63][(a >> 5) as usize % 4],
+            );
+            // Half the cells come from a few, so stuck cells, ECP entries
+            // and disturbances meet.
+            let bit = if r & 1 == 0 {
+                (r >> 1) % 8
+            } else {
+                (r >> 1) % 512
+            } as u16;
+            let (flag, value) = (r >> 63 == 1, r >> 62 & 1 == 1);
+            let at = || format!("{init:?}, op {n} (kind {}), {line}", op % 12);
+            let mut lane = dev.lane_mut(line.bank.0);
+            match op % 12 {
+                0 | 1 => {
+                    let raw = lane.raw_line(line);
+                    let target = if op & 0x80 == 0 {
+                        // A few cells rewritten.
+                        let mut t = raw;
+                        for j in 0..4 {
+                            let b = mix(r ^ j) as usize % 512;
+                            t.set_bit(b, !t.bit(b));
+                        }
+                        t
+                    } else {
+                        LineBuf::from_words(std::array::from_fn(|j| mix(r ^ j as u64)))
+                    };
+                    let diff = DiffMask::between(&raw, &target);
+                    let class = [
+                        WriteClass::Normal,
+                        WriteClass::WordlineFix,
+                        WriteClass::Correction,
+                    ][(r % 3) as usize];
+                    lane.apply_write(line, &diff, class);
+                    oracle.apply_write(line, &diff, class);
+                }
+                2 => assert_eq!(
+                    lane.inject_disturb(line, bit),
+                    oracle.inject_disturb(line, bit),
+                    "{}",
+                    at()
+                ),
+                3 => assert_eq!(
+                    lane.plant_hard_error(line, bit, flag),
+                    oracle.plant_hard_error(line, bit, flag),
+                    "{}",
+                    at()
+                ),
+                4 => assert_eq!(
+                    lane.plant_hard_error_with_value(line, bit, flag, value),
+                    oracle.plant_hard_error_with_value(line, bit, flag, value),
+                    "{}",
+                    at()
+                ),
+                5 => {
+                    let intended = LineBuf::from_words(std::array::from_fn(|j| mix(r ^ j as u64)));
+                    lane.refresh_hard_values(line, &intended);
+                    oracle.refresh_hard_values(line, &intended);
+                }
+                6 => {
+                    let kind = if flag {
+                        EcpKind::Hard
+                    } else {
+                        EcpKind::Disturb
+                    };
+                    assert_eq!(
+                        lane.ecp_mut(line).record(bit, value, kind),
+                        oracle.ecp_mut(line).record(bit, value, kind),
+                        "{}",
+                        at()
+                    );
+                }
+                7 => assert_eq!(
+                    lane.ecp_mut(line).clear_disturb(),
+                    oracle.ecp_mut(line).clear_disturb(),
+                    "{}",
+                    at()
+                ),
+                8 => {
+                    lane.set_din_flags(line, r);
+                    oracle.set_din_flags(line, r);
+                }
+                9 => {
+                    let epoch =
+                        lane.disturb_programmed_with(line, &mut victims, |epoch, raw, v| {
+                            draw_victims(r, raw, v);
+                            epoch
+                        });
+                    assert_eq!(epoch, oracle.next_inject_epoch(line), "{}", at());
+                    draw_victims(r, &oracle.raw_line(line), &mut expect);
+                    expect.retain(|&b| oracle.inject_disturb(line, b));
+                    assert_eq!(victims, expect, "{}", at());
+                }
+                10 => {
+                    lane.disturb_with(line, &mut victims, |raw, v| draw_victims(r, raw, v));
+                    draw_victims(r, &oracle.raw_line(line), &mut expect);
+                    expect.retain(|&b| oracle.inject_disturb(line, b));
+                    assert_eq!(victims, expect, "{}", at());
+                }
+                _ => {
+                    lane.charge_ecp_record();
+                    oracle.charge_ecp_record(line);
+                }
+            }
+            let lane = dev.lane_mut(line.bank.0);
+            assert_eq!(lane.read_line(line), oracle.read_line(line), "{}", at());
+            assert_eq!(lane.raw_line(line), oracle.raw_line(line), "{}", at());
+            assert_eq!(lane.ecp_ref(line), oracle.ecp_ref(line), "{}", at());
+            assert_eq!(lane.din_flags(line), oracle.din_flags(line), "{}", at());
+            assert_eq!(
+                lane.inject_epoch(line),
+                oracle.inject_epoch(line),
+                "{}",
+                at()
+            );
+            assert_eq!(
+                lane.hard_error_count(line),
+                oracle.hard_error_count(line),
+                "{}",
+                at()
+            );
+            assert_eq!(dev.read_line(line), oracle.read_line(line), "{}", at());
+            assert_eq!(dev.din_flags(line), oracle.din_flags(line), "{}", at());
+            assert_eq!(dev.wear(), oracle.wear(), "{}", at());
+            assert_eq!(
+                dev.materialized_lines(),
+                oracle.materialized_lines(),
+                "{}",
+                at()
+            );
+            assert_eq!(dev.content_digest(), oracle.content_digest(), "{}", at());
+        }
+    }
+
+    const INITS: [InitContent; 2] = [InitContent::Zeroed, InitContent::Pseudorandom(11)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn slab_store_matches_map_oracle(
+            ops in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u64>()), 1..400)
+        ) {
+            for init in INITS {
+                check_against_oracle(init, ops.iter().copied());
+            }
+        }
+    }
+
+    /// Release-mode soak: one million operations in runs of a thousand
+    /// on fresh stores (longer runs only pile up stuck cells), under
+    /// each initial content in turn.
+    #[test]
+    #[ignore = "soak: run with cargo test --release -p sdpcm-pcm -- --ignored"]
+    fn slab_store_matches_map_oracle_soak() {
+        for run in 0..1_000u32 {
+            let mut rng = TestRng::for_case("device-store-soak", run);
+            let ops = std::iter::repeat_with(|| {
+                let a = rng.next_u64();
+                (a as u8, (a >> 32) as u32, rng.next_u64())
+            });
+            check_against_oracle(INITS[run as usize % 2], ops.take(1_000));
+        }
     }
 }

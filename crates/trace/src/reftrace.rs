@@ -246,7 +246,9 @@ impl RefTrace {
     /// The per-core streams are derived serially; each then draws only
     /// from its own counter-based streams, so draining them on
     /// `min(cores, available_parallelism)` workers yields the same bytes
-    /// as draining them one after another.
+    /// as draining them one after another. A capture that runs on a
+    /// sweep worker drains them on that worker (see
+    /// [`sdpcm_engine::par`]).
     #[must_use]
     pub fn capture(workload: &Workload, seed: u64, refs_per_core: u64) -> RefTrace {
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
