@@ -239,13 +239,18 @@ impl Lane<'_, '_> {
             self.push_completion(&access, now + FORWARD_LATENCY, None);
             return;
         }
-        // Coalesce with a queued write to the same line.
+        // Coalesce with the newest queued write to the same line. A
+        // cancelled write goes back at the front, possibly ahead of a
+        // later write to its line: the newer entry is the one reads
+        // forward from and the one that drains last, so it must absorb
+        // the data.
         if self.ls.bank.wq_contains(access.addr) {
             if let Some(e) = self
                 .ls
                 .bank
                 .write_q
                 .iter_mut()
+                .rev()
                 .find(|e| e.access.addr == access.addr)
             {
                 e.access.kind = AccessKind::Write(data);
@@ -808,6 +813,38 @@ mod tests {
         assert_eq!(read_done.at, Cycle(500), "read served right after cancel");
         // The cancelled write still commits eventually.
         assert_eq!(c.architectural_line(w), patterned(7));
+    }
+
+    #[test]
+    fn a_write_behind_a_cancelled_one_coalesces_into_the_newest_entry() {
+        // Write A starts; write B to the same line queues behind the job;
+        // a read cancels the job, so A goes back at the front, ahead of
+        // B. Write C must coalesce into B, which reads forward from and
+        // which drains last — not into the cancelled A.
+        let mut c = ctrl(CtrlScheme::baseline_vnc().with_write_cancellation());
+        let w = line(5, 70, 0);
+        c.submit(write(1, w, patterned(1), Cycle(0)), Cycle(0))
+            .unwrap();
+        drain_all(&mut c, Cycle(0));
+        c.submit(write(2, w, patterned(2), Cycle(10)), Cycle(10))
+            .unwrap();
+        c.submit(read(3, line(5, 90, 0), Cycle(100)), Cycle(100))
+            .unwrap();
+        assert_eq!(c.stats().write_cancellations.get(), 1);
+        c.submit(write(4, w, patterned(3), Cycle(101)), Cycle(101))
+            .unwrap();
+        let queued: Vec<_> = lane_state(&mut c, 5)
+            .bank
+            .write_q
+            .iter()
+            .map(|e| e.access.kind.write_data())
+            .collect();
+        assert_eq!(queued, [Some(patterned(1)), Some(patterned(3))]);
+        c.submit(read(5, w, Cycle(102)), Cycle(102)).unwrap();
+        let done = run_until_idle(&mut c);
+        let fwd = done.iter().find(|d| d.id == ReqId(5)).unwrap();
+        assert_eq!(fwd.data, Some(patterned(3)), "read of the newest write");
+        assert_eq!(c.architectural_line(w), patterned(3), "drained in order");
     }
 
     #[test]
