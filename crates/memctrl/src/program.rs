@@ -373,22 +373,27 @@ impl Lane<'_, '_> {
     /// (a racing hard error can steal the slot) degrades to a direct
     /// RESET fix of the cell.
     pub(crate) fn record_ecp(&mut self, line: LineAddr, cells: &[u16]) {
-        for &bit in cells {
-            match self
-                .store
-                .ecp_mut(line)
-                .record(bit, false, EcpKind::Disturb)
-            {
-                Ok(()) => {
-                    self.store.charge_ecp_record();
-                    self.ls.stats.ecp_records.inc();
-                }
-                Err(_) => {
-                    self.ls.stats.ecp_overflow_fixes.inc();
-                    let fix = DiffMask::reset_only_cells(&[bit]);
-                    self.store.apply_write(line, &fix, WriteClass::Correction);
-                }
+        let mut rest = cells;
+        while !rest.is_empty() {
+            // One table lookup for each run of cells that fit. An
+            // overflow's fix writes the line, so the table is looked up
+            // again after it.
+            let table = self.store.ecp_mut(line);
+            let recorded = rest
+                .iter()
+                .take_while(|&&bit| table.record(bit, false, EcpKind::Disturb).is_ok())
+                .count();
+            for _ in 0..recorded {
+                self.store.charge_ecp_record();
             }
+            self.ls.stats.ecp_records.add(recorded as u64);
+            let Some((&bit, tail)) = rest[recorded..].split_first() else {
+                break;
+            };
+            self.ls.stats.ecp_overflow_fixes.inc();
+            let fix = DiffMask::reset_only_cells(&[bit]);
+            self.store.apply_write(line, &fix, WriteClass::Correction);
+            rest = tail;
         }
     }
 
