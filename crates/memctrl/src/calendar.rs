@@ -69,15 +69,17 @@ impl BankCalendar {
         }
     }
 
-    /// Recomputes the head from the per-bank array.
+    /// Recomputes the head from the per-bank array: one branch-free
+    /// minimum over it (`min_by_key` keeps the first of equal keys, so
+    /// ties go to the lowest bank), then one test for all-idle.
     fn rescan(&mut self) {
-        let mut best: Option<(Cycle, usize)> = None;
-        for (bank, &at) in self.at.iter().enumerate() {
-            if at != Cycle::MAX && best.is_none_or(|(t, _)| at < t) {
-                best = Some((at, bank));
-            }
-        }
-        self.head = best;
+        self.head = self
+            .at
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &at)| at)
+            .filter(|&(_, &at)| at != Cycle::MAX)
+            .map(|(bank, &at)| (at, bank));
     }
 }
 
@@ -217,6 +219,29 @@ mod tests {
         assert_eq!(c.head(), Some((Cycle(10), 2)));
         c.set(2, None);
         c.set(3, None);
+        assert_eq!(c.head(), None);
+    }
+
+    #[test]
+    fn rescan_breaks_ties_to_the_lowest_bank_and_sees_all_idle() {
+        let mut c = BankCalendar::new(8);
+        for bank in [6, 2, 5, 3] {
+            c.set(bank, Some(Cycle(40)));
+        }
+        c.set(7, Some(Cycle(10)));
+        assert_eq!(c.head(), Some((Cycle(10), 7)));
+        // The head moves later: the rescan finds four banks tied at 40.
+        c.set(7, Some(Cycle(90)));
+        assert_eq!(c.head(), Some((Cycle(40), 2)));
+        c.set(2, None);
+        assert_eq!(c.head(), Some((Cycle(40), 3)));
+        for bank in [3, 5, 6] {
+            c.set(bank, None);
+        }
+        assert_eq!(c.head(), Some((Cycle(90), 7)));
+        c.set(7, None);
+        assert_eq!(c.head(), None, "every bank idle");
+        c.rescan();
         assert_eq!(c.head(), None);
     }
 
