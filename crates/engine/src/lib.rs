@@ -44,6 +44,6 @@ pub mod table;
 
 pub use clock::Cycle;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use rng::{ChanceGate, RngStream, SimRng};
+pub use rng::{ChanceGate, RngStream, SimRng, SkipGate};
 pub use stats::{Counter, Histogram, QuantileSketch};
 pub use table::TextTable;

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: differential writes, DIN coding, ECP tables, the buddy
-//! and (n:m) page allocators, (n:m) marking, and the vulnerable-pattern
-//! analysis.
+//! and (n:m) page allocators, (n:m) marking, the vulnerable-pattern
+//! analysis, and the skip-sampled disturbance draws.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -15,7 +15,8 @@ use sdpcm::pcm::ecp::{EcpKind, EcpTable};
 use sdpcm::pcm::line::{DiffMask, LineBuf};
 use sdpcm::trace::stream::StreamKernels;
 use sdpcm::wd::din::{DinCodec, DinFlags};
-use sdpcm::wd::pattern::{bitline_vulnerable, wordline_vulnerable};
+use sdpcm::wd::pattern::{bitline_vulnerable, wordline_exposure_masks, wordline_vulnerable};
+use sdpcm::wd::WdInjector;
 
 fn line_strategy() -> impl Strategy<Value = LineBuf> {
     proptest::array::uniform8(any::<u64>()).prop_map(LineBuf::from_words)
@@ -330,6 +331,36 @@ proptest! {
     }
 
     #[test]
+    fn wd_victims_are_ascending_cells_of_the_vulnerable_mask(
+        old in line_strategy(),
+        new in line_strategy(),
+        neighbor in line_strategy(),
+        p in prop_oneof![
+            3 => 0.0f64..=1.0,
+            1 => proptest::sample::select(vec![0.0, 0.099, 0.115, 1.0]),
+        ],
+        epoch in any::<u64>(),
+    ) {
+        let inj = WdInjector::with_probs(p, p, SimRng::from_seed(epoch)).unwrap();
+        let diff = DiffMask::between(&old, &new);
+        let ev = inj.event(0x77, epoch);
+        let wl = inj.draw_wordline(&ev, &new, &diff);
+        let bl = inj.draw_bitline(&ev, 1, &diff, &neighbor);
+        let wl_mask = wordline_vulnerable(&new, &diff);
+        let bl_mask = bitline_vulnerable(&diff, &neighbor);
+        for (victims, mask) in [(&wl, &wl_mask), (&bl, &bl_mask)] {
+            prop_assert!(victims.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(victims.iter().all(|v| mask.binary_search(v).is_ok()));
+            if p == 0.0 {
+                prop_assert!(victims.is_empty());
+            }
+            if p == 1.0 {
+                prop_assert_eq!(victims, mask);
+            }
+        }
+    }
+
+    #[test]
     fn reset_only_masks_only_reset(bits in vec(0usize..512, 0..32)) {
         let d = DiffMask::reset_only(&bits);
         prop_assert_eq!(d.set_count(), 0);
@@ -341,4 +372,47 @@ proptest! {
         unique.dedup();
         prop_assert_eq!(d.reset_count() as usize, unique.len());
     }
+}
+
+/// The fast tier of the disturbance sampler's statistics (the full grid
+/// is `sdpcm-wd`'s `skip_sampling` soak): over 3,000 events on one
+/// pseudorandom write at the calibrated rates, the victim totals of
+/// each draw land within four standard deviations of the per-cell
+/// model, `p` per one-neighbour word-line cell, `1 − (1 − p)²` per
+/// two-neighbour cell and `p` per bit-line cell.
+#[test]
+fn wd_victim_totals_match_the_per_cell_model() {
+    let (p_wl, p_bl) = (0.099, 0.115);
+    let inj = WdInjector::with_probs(p_wl, p_bl, SimRng::from_seed_label(5, "wd-totals")).unwrap();
+    let mut words = [0u64; 8];
+    let mut rng = SimRng::from_seed(6);
+    rng.fill(&mut words);
+    let old = LineBuf::from_words(words);
+    rng.fill(&mut words);
+    let new = LineBuf::from_words(words);
+    let diff = DiffMask::between(&old, &new);
+    let neighbor = LineBuf::zeroed();
+    let (once, twice) = wordline_exposure_masks(&new, &diff);
+    let p_twice = 1.0 - (1.0 - p_wl) * (1.0 - p_wl);
+    let trials = 3_000u32;
+    let (mut wl, mut bl) = (0u64, 0u64);
+    for epoch in 0..trials {
+        let ev = inj.event(9, u64::from(epoch));
+        wl += inj.draw_wordline(&ev, &new, &diff).len() as u64;
+        bl += inj.draw_bitline(&ev, 0, &diff, &neighbor).len() as u64;
+    }
+    let t = f64::from(trials);
+    let bl_cells = f64::from(diff.reset_count());
+    let (n1, n2) = (f64::from(once.count_ones()), f64::from(twice.count_ones()));
+    let within = |got: u64, mean: f64, var: f64| (got as f64 - mean).abs() <= 4.0 * var.sqrt();
+    assert!(
+        within(bl, t * bl_cells * p_bl, t * bl_cells * p_bl * (1.0 - p_bl)),
+        "bit-line: {bl} victims"
+    );
+    let wl_mean = t * (n1 * p_wl + n2 * p_twice);
+    let wl_var = t * (n1 * p_wl * (1.0 - p_wl) + n2 * p_twice * (1.0 - p_twice));
+    assert!(
+        within(wl, wl_mean, wl_var),
+        "word-line: {wl} victims, mean {wl_mean}"
+    );
 }
