@@ -9,7 +9,7 @@
 //!
 //! Storage is two flat arrays indexed `set * ways + way`: a `u32` tag
 //! per way and one metadata byte per way, which packs a valid bit, a
-//! dirty bit and a 6-bit recency rank — five bytes of heap per way, and
+//! dirty bit and a 6-bit recency rank — five bytes per way, and
 //! nothing per set. The ranks of a set's valid ways are a permutation of
 //! `0..valid`, with 0 the most recently used. Touching a way of rank `r`
 //! (an invalid way counts as rank ∞) ages every valid way ranked below
@@ -22,14 +22,17 @@
 //!
 //! # Residency
 //!
-//! An all-zero way is invalid, so both arrays start as `vec![0; n]`: the
-//! allocator hands back zeroed pages that the OS maps only when a set on
-//! them is first written. A cold cache therefore costs only the sets it
-//! has touched. A fully warmed Table 2 L3 (32 MB, 512 Ki ways) holds
+//! An all-zero way is invalid, so both arrays start all zero, and large
+//! ones are mappings of their own (see the `pages` module): the OS maps
+//! a page only when a set on it is first written, however the heap was
+//! used before. A cold cache therefore costs only the sets it has
+//! touched. A fully warmed Table 2 L3 (32 MB, 512 Ki ways) holds
 //! 2.5 MiB per core; the `Vec<Vec<Way>>` layout it replaced wrote 12 MiB
 //! of 24-byte ways plus one heap block per set at build time.
 
 use sdpcm_engine::Cycle;
+
+use crate::pages::ZeroedArray;
 
 /// Line size used throughout the system (Table 2: 64 B lines everywhere).
 pub const LINE_BYTES: u64 = 64;
@@ -112,10 +115,10 @@ pub struct SetAssocCache {
     config: CacheConfig,
     sets: u64,
     /// Per-way tags (`line_addr / sets`), `set * ways + way`.
-    tags: Vec<u32>,
+    tags: ZeroedArray<u32>,
     /// Per-way valid bit, dirty bit and recency rank, same indexing;
     /// 0 is an invalid way.
-    meta: Vec<u8>,
+    meta: ZeroedArray<u8>,
     hits: u64,
     misses: u64,
 }
@@ -139,8 +142,8 @@ impl SetAssocCache {
         SetAssocCache {
             config,
             sets,
-            tags: vec![0; n],
-            meta: vec![0; n],
+            tags: ZeroedArray::new(n),
+            meta: ZeroedArray::new(n),
             hits: 0,
             misses: 0,
         }

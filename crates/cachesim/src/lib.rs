@@ -21,6 +21,7 @@
 
 pub mod cache;
 pub mod hierarchy;
+mod pages;
 
 pub use cache::{AccessKind, AccessOutcome, CacheConfig, SetAssocCache};
 pub use hierarchy::{CoreCaches, HierarchyConfig, HierarchyOutcome};

@@ -54,6 +54,32 @@ pub(crate) struct Target {
     pub(crate) ratio: NmRatio,
 }
 
+/// The frames backing each core's working set, in core then virtual-page
+/// order, drawn under `ratio` from one fresh allocator over `total_pages`
+/// frames.
+///
+/// The allocator is needed only to map, so its sets are freed before
+/// anything else is built. The cache stacks do not reuse that memory:
+/// their zeroed arrays come straight from pages the OS maps on first
+/// touch, and keeping the allocator alive until they are built leaves
+/// hier-wrf's set-up time and peak RSS unchanged.
+fn map_frames(
+    workload: &Workload,
+    ratio: NmRatio,
+    total_pages: u64,
+) -> Result<Vec<Vec<u64>>, MapError> {
+    let mut os = NmAllocator::new(total_pages);
+    workload
+        .pages_per_core()
+        .into_iter()
+        .enumerate()
+        .map(|(core, pages)| {
+            os.alloc_pages(ratio, pages)
+                .ok_or(MapError::DeviceFull { core, pages })
+        })
+        .collect()
+}
+
 /// The controller plus everything between it and the cores.
 pub(crate) struct Backend {
     ctrl: MemoryController,
@@ -80,24 +106,16 @@ impl Backend {
         params.validate()?;
         let mut rng = SimRng::from_seed_label(params.seed, label);
         let geometry = params.geometry_for(workload, scheme.ratio)?;
-        // The allocator is needed only to map, so its buddy lists are freed
-        // before anything else is built. The cache stacks do not reuse that
-        // memory: their zeroed arrays come straight from pages the OS maps
-        // on first touch, and keeping the allocator alive until they are
-        // built leaves hier-wrf's set-up time and peak RSS unchanged.
-        let mut os = NmAllocator::new(geometry.total_pages());
-        let mut tables = Vec::new();
-        for (core, pages) in workload.pages_per_core().into_iter().enumerate() {
-            let frames = os
-                .alloc_pages(scheme.ratio, pages)
-                .ok_or(MapError::DeviceFull { core, pages })?;
-            let mut table = PageTable::new();
-            for (vpage, frame) in frames.into_iter().enumerate() {
-                table.map(vpage as u64, frame, scheme.ratio);
-            }
-            tables.push(table);
-        }
-        drop(os);
+        let tables = map_frames(workload, scheme.ratio, geometry.total_pages())?
+            .into_iter()
+            .map(|frames| {
+                let mut table = PageTable::new();
+                for (vpage, frame) in frames.into_iter().enumerate() {
+                    table.map(vpage as u64, frame, scheme.ratio);
+                }
+                table
+            })
+            .collect();
         let ctrl = params.controller(scheme.ctrl, geometry, rng.derive("ctrl"))?;
         let be = Backend {
             ctrl,
@@ -361,5 +379,59 @@ mod tests {
         assert_ne!(cycle, u64::MAX, "must stop on the budget, not on idleness");
         assert_eq!(refs_done, 7);
         assert!(snapshot.in_flight > 0 || snapshot.queued_writes > 0);
+    }
+
+    /// FNV-1a over every core's frame count and frames.
+    fn frames_digest(per_core: &[Vec<u64>]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in per_core
+            .iter()
+            .flat_map(|f| std::iter::once(f.len() as u64).chain(f.iter().copied()))
+        {
+            for byte in v.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The frames every fig11, sys-mcf and hier-wrf build maps: each
+    /// Table 3 working set under (1:1), (2:3) and (1:2), at the geometry
+    /// `geometry_for` picks. The digests were taken from the B-tree
+    /// allocator that the bitset allocator replaced (kept as the
+    /// osalloc crate's test oracle), so they pin that the two hand out
+    /// the same frames in the same order.
+    #[test]
+    fn build_inputs_match_the_btree_allocator() {
+        let ratios = [NmRatio::one_one(), NmRatio::two_three(), NmRatio::one_two()];
+        // One row per benchmark in `BenchKind::all()` order, one column per
+        // ratio; benchmarks with equal working sets share digests.
+        #[rustfmt::skip]
+        let want: [[u64; 3]; 9] = [
+            [0xea59_fcfe_1ce7_f225, 0xe42a_31db_0f51_6475, 0xf9e0_d9f8_05b0_ae25], // bwaves
+            [0x9340_c437_81fe_4b25, 0xee0e_e450_594f_3165, 0x4148_3b83_c73b_ae25], // gemsFDTD
+            [0xd0c7_90f2_985c_7a25, 0xef88_6d89_6d4c_68c5, 0x6524_6067_649e_d125], // lbm
+            [0xccd9_94ac_d4ae_8025, 0xc99e_991a_b51e_a7c5, 0xfc59_d241_b0ea_c425], // leslie3d
+            [0xf6bd_529d_ad53_1e25, 0x96ea_d768_4f69_3585, 0xa2a9_a709_8a5b_0225], // mcf
+            [0x27c5_5ab2_21b1_68a5, 0x8292_ff3b_44ef_9c05, 0x561e_30d5_93e2_27a5], // wrf
+            [0xa4a8_834c_2a52_3525, 0x6fee_d233_0bb2_f055, 0x1ccd_e259_4ee1_0125], // xalan
+            [0xccd9_94ac_d4ae_8025, 0xc99e_991a_b51e_a7c5, 0xfc59_d241_b0ea_c425], // zeusmp
+            [0xea59_fcfe_1ce7_f225, 0xe42a_31db_0f51_6475, 0xf9e0_d9f8_05b0_ae25], // stream
+        ];
+        let params = ExperimentParams::bench_default();
+        let mut got = [[0; 3]; 9];
+        for (b, kind) in BenchKind::all().into_iter().enumerate() {
+            let w = Workload::homogeneous(kind);
+            for (r, &ratio) in ratios.iter().enumerate() {
+                let total = params.geometry_for(&w, ratio).unwrap().total_pages();
+                let frames = map_frames(&w, ratio, total).unwrap();
+                assert_eq!(
+                    frames.iter().map(|f| f.len() as u64).collect::<Vec<_>>(),
+                    w.pages_per_core()
+                );
+                got[b][r] = frames_digest(&frames);
+            }
+        }
+        assert_eq!(got, want);
     }
 }

@@ -28,6 +28,7 @@
 //!   controller with the physical address.
 //! * [`dma`] — DMA address generation under (1:1)/(1:2) allocation.
 
+mod bitset;
 pub mod buddy;
 pub mod dma;
 pub mod nm;

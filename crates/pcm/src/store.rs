@@ -182,12 +182,12 @@ impl BankStore {
         i
     }
 
-    /// The record at slab position `i`, its cells set to `addr`'s initial
-    /// content if they were untouched.
-    fn materialize(&mut self, i: u32, init: InitContent, addr: LineAddr) -> &mut LineRecord {
+    /// The record at slab position `i`, its cells set to `initial()` (the
+    /// line's initial content) if they were untouched.
+    fn materialize(&mut self, i: u32, initial: impl FnOnce() -> LineBuf) -> &mut LineRecord {
         let rec = &mut self.slab[i as usize / CHUNK][i as usize % CHUNK];
         if !rec.materialized {
-            rec.data = initial_line_of(init, addr);
+            rec.data = initial();
             rec.materialized = true;
             self.materialized += 1;
         }
@@ -413,7 +413,8 @@ impl<'a> StoreLane<'a> {
     fn line_mut(&mut self, addr: LineAddr) -> &mut LineRecord {
         self.check(addr);
         let i = self.bank.position(self.ecp_entries, addr);
-        self.bank.materialize(i, self.init, addr)
+        let init = self.init;
+        self.bank.materialize(i, || initial_line_of(init, addr))
     }
 
     /// The initial content of an untouched line.
@@ -486,7 +487,8 @@ impl<'a> StoreLane<'a> {
                 Some(i) => i,
                 None => self.bank.position(self.ecp_entries, addr),
             };
-            let rec = self.bank.materialize(i, self.init, addr);
+            // An untouched line's raw contents are its initial content.
+            let rec = self.bank.materialize(i, || raw);
             victims.retain(|&bit| rec.disturb(bit));
         }
     }
@@ -510,7 +512,8 @@ impl<'a> StoreLane<'a> {
         let raw = self.bank.raw_at(Some(i), self.init, addr);
         let out = draw(epoch, &raw, victims);
         if !victims.is_empty() {
-            let rec = self.bank.materialize(i, self.init, addr);
+            // An untouched line's raw contents are its initial content.
+            let rec = self.bank.materialize(i, || raw);
             victims.retain(|&bit| rec.disturb(bit));
         }
         out
