@@ -2,11 +2,12 @@
 //!
 //! A bank holds a FIFO read queue, a write queue, at most one operation
 //! in flight and at most one paused write job. The write queue carries
-//! two derived views that replace full-queue scans on the hot path: an
-//! address index (is this line queued?) and the count of entries whose
-//! PreRead is still open. Every push and pop goes through
-//! [`Bank::wq_push`] / [`Bank::wq_remove`], which keep both in step;
-//! [`Bank::check_wq_index`] recounts them for the randomized audit.
+//! three derived views that replace full-queue scans on the hot path: an
+//! address index (is this line queued?), the count of entries whose
+//! PreRead is still open, and a position before which none is. Every
+//! push and pop goes through [`Bank::wq_push`] / [`Bank::wq_remove`],
+//! which keep all three in step; [`Bank::check_wq_index`] rechecks them
+//! for the randomized audit.
 
 use std::collections::VecDeque;
 
@@ -22,7 +23,14 @@ use crate::writejob::{Side, WqEntry, WriteJob};
 #[derive(Debug)]
 pub(crate) enum BankOp {
     Read(Access),
-    IdlePreRead { write_line: LineAddr, side: Side },
+    /// A pre-read of `side` for the queued write at `pos` in the write
+    /// queue, to `write_line`. The position holds until it completes:
+    /// while the bank is busy, writes only join the back of the queue.
+    IdlePreRead {
+        pos: usize,
+        write_line: LineAddr,
+        side: Side,
+    },
     Write(Box<WriteJob>),
 }
 
@@ -46,6 +54,11 @@ pub(crate) struct Bank {
     /// ([`WqEntry::preread_open`]); the idle-slot PreRead search walks
     /// the queue only while this is nonzero.
     pr_open: usize,
+    /// No entry of `write_q` before this position has a pre-read open,
+    /// so the idle-slot search starts here. A lower bound: entries only
+    /// ever close, so it moves back only when one is removed before it
+    /// or an open one goes back at the front.
+    pr_first: usize,
     pub(crate) draining: bool,
     /// Writes left in the current burst.
     pub(crate) drain_left: usize,
@@ -96,20 +109,21 @@ impl Bank {
     }
 
     /// Queues `entry` at the back (a new write) or the front (a
-    /// cancelled one going back), keeping the index and the open
-    /// pre-read count in step.
+    /// cancelled one going back), keeping the derived views in step.
     pub(crate) fn wq_push(&mut self, entry: WqEntry, front: bool) {
         *self.wq_index.entry(entry.access.addr).or_insert(0) += 1;
-        self.pr_open += usize::from(entry.preread_open());
+        let open = entry.preread_open();
+        self.pr_open += usize::from(open);
         if front {
+            self.pr_first = if open { 0 } else { self.pr_first + 1 };
             self.write_q.push_front(entry);
         } else {
             self.write_q.push_back(entry);
         }
     }
 
-    /// Removes the entry at `pos` (0 pops the oldest), keeping the index
-    /// and the open pre-read count in step.
+    /// Removes the entry at `pos` (0 pops the oldest), keeping the
+    /// derived views in step.
     pub(crate) fn wq_remove(&mut self, pos: usize) -> Option<WqEntry> {
         let entry = self.write_q.remove(pos)?;
         let addr = entry.access.addr;
@@ -121,25 +135,43 @@ impl Bank {
             None => debug_assert!(false, "write-queue index lost {addr}"),
         }
         self.pr_open -= usize::from(entry.preread_open());
+        if pos < self.pr_first {
+            self.pr_first -= 1;
+        }
         Some(entry)
     }
 
-    /// Buffers an idle-slot pre-read of `side` into the oldest queued
-    /// write to `addr`, if it is still queued.
-    pub(crate) fn wq_preread_done(&mut self, addr: LineAddr, side: Side, data: Option<LineBuf>) {
-        if !self.wq_contains(addr) {
+    /// The position of the oldest queued write with a pre-read open, or
+    /// the queue's length if none is. The next search starts there.
+    pub(crate) fn first_open_preread(&mut self) -> usize {
+        let skip = self
+            .write_q
+            .iter()
+            .skip(self.pr_first)
+            .position(WqEntry::preread_open);
+        self.pr_first = skip.map_or(self.write_q.len(), |n| self.pr_first + n);
+        self.pr_first
+    }
+
+    /// Marks an idle-slot pre-read of `side` done in the queued write at
+    /// `pos` it was issued for. (A search by `addr` could find a cancelled
+    /// write back at the front, its pre-reads done, ahead of a later
+    /// write to its line.)
+    pub(crate) fn wq_preread_done(&mut self, pos: usize, addr: LineAddr, side: Side) {
+        let s = side.idx();
+        let issued_for = |e: &WqEntry| e.access.addr == addr && e.need[s] && !e.pr_done[s];
+        let Some(e) = self.write_q.get_mut(pos).filter(|e| issued_for(e)) else {
+            debug_assert!(false, "idle pre-read lost its entry at {pos}");
             return;
-        }
-        if let Some(e) = self.write_q.iter_mut().find(|e| e.access.addr == addr) {
-            let was_open = e.preread_open();
-            e.pr_done[side.idx()] = true;
-            e.pr_buf[side.idx()] = data;
-            self.pr_open -= usize::from(was_open && !e.preread_open());
-        }
+        };
+        // The entry was open on `side`; it closes once no side is.
+        e.pr_done[s] = true;
+        self.pr_open -= usize::from(!e.preread_open());
     }
 
     /// Compares the address index and the open pre-read count with an
-    /// exact linear recount of the queue.
+    /// exact linear recount of the queue, and checks that no open
+    /// pre-read sits before the search start.
     pub(crate) fn check_wq_index(&self) -> Result<(), String> {
         let mut recount: FxHashMap<LineAddr, u32> = FxHashMap::default();
         for e in &self.write_q {
@@ -154,6 +186,13 @@ impl Bank {
         let open = self.write_q.iter().filter(|e| e.preread_open()).count();
         if open != self.pr_open {
             return Err(format!("pr_open {} != linear recount {open}", self.pr_open));
+        }
+        let first = self.write_q.iter().position(WqEntry::preread_open);
+        if self.pr_first > first.unwrap_or(self.write_q.len()) {
+            return Err(format!(
+                "pr_first {} is past the first open pre-read {first:?}",
+                self.pr_first
+            ));
         }
         Ok(())
     }

@@ -397,7 +397,7 @@ impl MemoryController {
     #[must_use]
     pub fn architectural_line(&self, addr: LineAddr) -> LineBuf {
         self.lanes[addr.bank.0 as usize].architectural(&self.sh.codec, addr, || {
-            (self.store.read_line(addr), self.store.din_flags(addr))
+            self.store.read_line_and_flags(addr)
         })
     }
 
@@ -411,7 +411,7 @@ impl MemoryController {
             return false; // unmappable writes can never be accepted
         };
         let lane = &self.lanes[addr.bank.0 as usize];
-        if lane.salvaged.contains_key(&addr) {
+        if lane.is_salvaged(addr) {
             return true; // served from the pool, no queue entry needed
         }
         let b = &lane.bank;
@@ -640,9 +640,18 @@ impl MemoryController {
                 break;
             }
             ops += 1;
-            self.with_lane(bank, |lane| lane.complete_op(at));
-            self.drain_commits(bank, at);
-            self.with_lane(bank, |lane| lane.dispatch(at));
+            if self.sh.track_commits {
+                // The chaos harness sees each operation's commits before
+                // the bank dispatches its next one.
+                self.with_lane(bank, |lane| lane.complete_op(at));
+                self.drain_commits(bank, at);
+                self.with_lane(bank, |lane| lane.dispatch(at));
+            } else {
+                self.with_lane(bank, |lane| {
+                    lane.complete_op(at);
+                    lane.dispatch(at);
+                });
+            }
         }
         (limit, ops)
     }

@@ -94,6 +94,9 @@ pub(crate) struct LaneState {
     /// Committed write addresses not yet handed to the chaos harness
     /// (only populated while a chaos plan is installed).
     pub(crate) recent_commits: Vec<LineAddr>,
+    /// The bank's last finished (or cancelled) write job, reset in place
+    /// for the next write so its buffers are reused.
+    pub(crate) spare_job: Option<Box<WriteJob>>,
 }
 
 impl LaneState {
@@ -111,7 +114,34 @@ impl LaneState {
             wl_scratch: Vec::new(),
             bl_hits: [Vec::new(), Vec::new()],
             recent_commits: Vec::new(),
+            spare_job: None,
         }
+    }
+
+    /// The salvage-pool buffer of `addr`, if it is decommissioned. Most
+    /// runs never decommission a line, so an empty pool is not probed.
+    #[inline]
+    pub(crate) fn salvage_buf(&self, addr: LineAddr) -> Option<&LineBuf> {
+        if self.salvaged.is_empty() {
+            return None;
+        }
+        self.salvaged.get(&addr)
+    }
+
+    /// Whether `addr` is decommissioned (see [`LaneState::salvage_buf`]).
+    #[inline]
+    pub(crate) fn is_salvaged(&self, addr: LineAddr) -> bool {
+        self.salvage_buf(addr).is_some()
+    }
+
+    /// The LazyCorrection exhaustion events of `line` so far, without
+    /// probing an empty map.
+    #[inline]
+    pub(crate) fn distress_of(&self, line: LineAddr) -> u32 {
+        if self.distress.is_empty() {
+            return 0;
+        }
+        self.distress.get(&line).copied().unwrap_or(0)
     }
 
     /// The architectural (error-corrected, DIN-decoded) contents of
@@ -124,7 +154,7 @@ impl LaneState {
         addr: LineAddr,
         read: impl FnOnce() -> (LineBuf, u64),
     ) -> LineBuf {
-        match self.salvaged.get(&addr) {
+        match self.salvage_buf(addr) {
             Some(data) => *data,
             None => {
                 let (patched, flags) = read();
@@ -171,7 +201,7 @@ impl Lane<'_, '_> {
     /// line in this bank — zero simulated time.
     pub(crate) fn architectural_line(&self, addr: LineAddr) -> LineBuf {
         self.ls.architectural(&self.sh.codec, addr, || {
-            (self.store.read_line(addr), self.store.din_flags(addr))
+            self.store.read_line_and_flags(addr)
         })
     }
 
@@ -212,7 +242,7 @@ impl Lane<'_, '_> {
     fn submit_read(&mut self, access: Access, now: Cycle) {
         // Decommissioned lines live in controller buffers: no bank
         // operation, no disturbance, `FORWARD_LATENCY` to answer.
-        if let Some(data) = self.ls.salvaged.get(&access.addr).copied() {
+        if let Some(data) = self.ls.salvage_buf(access.addr).copied() {
             self.ls.stats.salvaged_reads.inc();
             self.complete_read(&access, now + FORWARD_LATENCY, data);
             return;
@@ -233,8 +263,8 @@ impl Lane<'_, '_> {
 
     fn submit_write(&mut self, access: Access, data: LineBuf, now: Cycle) {
         // Decommissioned lines absorb writes in their controller buffer.
-        if let Some(buf) = self.ls.salvaged.get_mut(&access.addr) {
-            *buf = data;
+        if self.ls.is_salvaged(access.addr) {
+            self.ls.salvaged.insert(access.addr, data);
             self.ls.stats.salvaged_writes.inc();
             self.push_completion(&access, now + FORWARD_LATENCY, None);
             return;
@@ -279,7 +309,7 @@ impl Lane<'_, '_> {
 
     /// PreRead forwarding: if an adjacent line of `entry` has a pending
     /// write in the queue, its up-to-date data is forwarded — no bank
-    /// operation needed (§4.3).
+    /// operation needed (§4.3), so the side's flag is set at once.
     fn forward_prereads(&mut self, entry: &mut WqEntry) {
         let neighbors = self.sh.geometry.bitline_neighbors(entry.access.addr);
         for side in Side::BOTH {
@@ -289,9 +319,8 @@ impl Lane<'_, '_> {
             let Some(n) = neighbors[side.idx()] else {
                 continue;
             };
-            if let Some(data) = self.ls.bank.queued_data(n) {
+            if self.ls.bank.wq_contains(n) {
                 entry.pr_done[side.idx()] = true;
-                entry.pr_buf[side.idx()] = Some(data);
                 self.ls.stats.preread_forwards.inc();
             }
         }
@@ -356,8 +385,15 @@ impl Lane<'_, '_> {
 
     fn start_write(&mut self, entry: WqEntry, now: Cycle) {
         let [up, down] = self.verify_need(&entry);
-        let job = WriteJob::new(entry, up, down, self.sh.cfg.scheme.own_line_verify);
-        self.run_step(Box::new(job), now);
+        let own = self.sh.cfg.scheme.own_line_verify;
+        let job = match self.ls.spare_job.take() {
+            Some(mut job) => {
+                job.reset(entry, up, down, own);
+                job
+            }
+            None => Box::new(WriteJob::new(entry, up, down, own)),
+        };
+        self.run_step(job, now);
     }
 
     /// Puts the paused write job (if any) back on the bank.
@@ -396,8 +432,7 @@ impl Lane<'_, '_> {
     fn verify_need(&self, entry: &WqEntry) -> [bool; 2] {
         let nb = self.sh.geometry.bitline_neighbors(entry.access.addr);
         let live = |side: Side| {
-            entry.need[side.idx()]
-                && nb[side.idx()].is_some_and(|n| !self.ls.salvaged.contains_key(&n))
+            entry.need[side.idx()] && nb[side.idx()].is_some_and(|n| !self.ls.is_salvaged(n))
         };
         [live(Side::Up), live(Side::Down)]
     }
@@ -412,21 +447,33 @@ impl Lane<'_, '_> {
             return false;
         }
         let cap = self.sh.cfg.write_queue_cap;
-        let target = self.ls.bank.write_q.iter().take(cap).find_map(|e| {
-            if !e.preread_open() {
-                return None;
-            }
-            let need = self.verify_need(e);
-            Side::BOTH
-                .into_iter()
-                .find(|side| need[side.idx()] && !e.pr_done[side.idx()])
-                .map(|side| (e.access.addr, side))
-        });
-        let Some((write_line, side)) = target else {
+        let first = self.ls.bank.first_open_preread();
+        let b = &self.ls.bank;
+        let target = b
+            .write_q
+            .iter()
+            .enumerate()
+            .take(cap)
+            .skip(first)
+            .find_map(|(pos, e)| {
+                if !e.preread_open() {
+                    return None;
+                }
+                let need = self.verify_need(e);
+                Side::BOTH
+                    .into_iter()
+                    .find(|side| need[side.idx()] && !e.pr_done[side.idx()])
+                    .map(|side| (pos, e.access.addr, side))
+            });
+        let Some((pos, write_line, side)) = target else {
             return false;
         };
         self.ls.bank.busy_until = now + self.sh.cfg.timing.read;
-        self.ls.bank.op = Some(BankOp::IdlePreRead { write_line, side });
+        self.ls.bank.op = Some(BankOp::IdlePreRead {
+            pos,
+            write_line,
+            side,
+        });
         true
     }
 
@@ -471,6 +518,7 @@ impl Lane<'_, '_> {
             Some(BankOp::Write(job)) => {
                 self.ls.stats.write_cancellations.inc();
                 self.ls.bank.wq_push(job.entry, true);
+                self.ls.spare_job = Some(job);
                 self.ls.bank.busy_until = now;
                 self.dispatch(now);
             }
@@ -534,8 +582,8 @@ impl Lane<'_, '_> {
 
     // ----- execution -----
 
-    /// Completes the bank's operation at `at`: answers a read, buffers
-    /// an idle pre-read, or finishes a write job's front step and then
+    /// Completes the bank's operation at `at`: answers a read, flags
+    /// an idle pre-read done, or finishes a write job's front step and then
     /// continues, pauses or ends the job.
     pub(crate) fn complete_op(&mut self, at: Cycle) {
         let Some(op) = self.ls.bank.op.take() else {
@@ -548,11 +596,13 @@ impl Lane<'_, '_> {
                 let data = self.architectural_line(access.addr);
                 self.complete_read(&access, at, data);
             }
-            BankOp::IdlePreRead { write_line, side } => {
+            BankOp::IdlePreRead {
+                pos,
+                write_line,
+                side,
+            } => {
                 self.ls.energy.charge_read(512, true);
-                let data = self.sh.geometry.bitline_neighbors(write_line)[side.idx()]
-                    .map(|n| self.architectural_line(n));
-                self.ls.bank.wq_preread_done(write_line, side, data);
+                self.ls.bank.wq_preread_done(pos, write_line, side);
                 self.ls.stats.prereads_issued.inc();
             }
             BankOp::Write(mut job) => {
@@ -563,7 +613,9 @@ impl Lane<'_, '_> {
                     job.steps.clear();
                 }
                 if job.steps.is_empty() {
-                    // Job done; completion was pushed at commit.
+                    // Job done; completion was pushed at commit. Keep it
+                    // for the bank's next write.
+                    self.ls.spare_job = Some(job);
                 } else if self.sh.cfg.scheme.write_pausing
                     && !self.ls.bank.read_q.is_empty()
                     && self.pause_is_safe(&job)
@@ -625,6 +677,7 @@ mod tests {
     use crate::ctrl::testkit::*;
     use crate::req::ReqId;
     use crate::scheme::CtrlScheme;
+    use crate::writejob::WqEntry;
     use crate::Wake;
 
     #[test]
@@ -795,6 +848,31 @@ mod tests {
         };
         assert_eq!(run(false), (2, [true, true]));
         assert_eq!(run(true), (1, [false, true]));
+    }
+
+    #[test]
+    fn an_idle_preread_flags_the_entry_it_was_issued_for() {
+        // A cancelled write back at the front of the queue, its
+        // pre-reads done, ahead of a later write to the same line whose
+        // pre-reads are still open: each idle pre-read must flag the
+        // later entry, so the bank issues two and then rests.
+        let mut c = ctrl(CtrlScheme::lazyc_preread().with_write_cancellation());
+        let a = line(0, 10, 0);
+        let mut cancelled = WqEntry::new(write(1, a, patterned(1), Cycle(0)), [true, true]);
+        cancelled.pr_done = [true, true];
+        let later = WqEntry::new(write(2, a, patterned(2), Cycle(0)), [true, true]);
+        let b = &mut lane_state(&mut c, 0).bank;
+        b.wq_push(later, false);
+        b.wq_push(cancelled, true);
+        with_lane(&mut c, 0, |lane| lane.dispatch(Cycle(0)));
+        let _ = run_to(&mut c, Cycle(10_000));
+        assert_eq!(c.stats().prereads_issued.get(), 2);
+        let b = &lane_state(&mut c, 0).bank;
+        assert!(b.op.is_none(), "the bank must end idle");
+        assert!(!b.prereads_open());
+        let flags: Vec<_> = b.write_q.iter().map(|e| e.pr_done).collect();
+        assert_eq!(flags, [[true, true], [true, true]]);
+        c.check_wq_index().unwrap();
     }
 
     #[test]

@@ -46,9 +46,9 @@ impl Lane<'_, '_> {
                     return t.read;
                 };
                 self.plant_hard(addr);
-                let raw_old = self.store.raw_line(addr);
-                let old_flags = DinFlags(self.store.din_flags(addr));
-                let (encoded, new_flags) = self.sh.codec.encode(&plain, &raw_old, old_flags);
+                let (raw_old, old_flags) = self.store.raw_line_and_flags(addr);
+                let (encoded, new_flags) =
+                    self.sh.codec.encode(&plain, &raw_old, DinFlags(old_flags));
                 let diff = DiffMask::between(&raw_old, &encoded);
                 let dur = t.write_latency(&diff);
                 job.diff = Some(diff);
@@ -76,10 +76,7 @@ impl Lane<'_, '_> {
             Step::PreRead(side) => {
                 self.ls.stats.phases.pre_reads += t.read;
                 self.ls.energy.charge_read(512, true);
-                let data = self.sh.geometry.bitline_neighbors(addr)[side.idx()]
-                    .map(|n| self.architectural_line(n));
                 job.entry.pr_done[side.idx()] = true;
-                job.entry.pr_buf[side.idx()] = data;
             }
             Step::ArrayWrite => {
                 let (Some(diff), Some(encoded)) = (job.diff.take(), job.encoded.take()) else {
@@ -93,12 +90,10 @@ impl Lane<'_, '_> {
                 self.ls
                     .energy
                     .charge_write(diff.set_count(), diff.reset_count(), false);
-                self.store.apply_write(addr, &diff, WriteClass::Normal);
-                self.store.refresh_hard_values(addr, &encoded);
-                self.store.set_din_flags(addr, job.new_flags.0);
-                // A normal write clears the line's own buffered WD errors
-                // (LazyCorrection consolidation, §4.2).
-                self.store.ecp_mut(addr).clear_disturb();
+                // A normal write also clears the line's own buffered WD
+                // errors (LazyCorrection consolidation, §4.2).
+                self.store
+                    .commit_write(addr, &diff, &encoded, job.new_flags.0);
                 job.committed = true;
                 self.ls.stats.writes.inc();
                 self.push_completion(&job.entry.access, at, None);
@@ -153,8 +148,12 @@ impl Lane<'_, '_> {
                 let Some(neighbor) = self.sh.geometry.bitline_neighbors(addr)[side.idx()] else {
                     return;
                 };
-                let new_errors = std::mem::take(&mut job.injected[side.idx()]);
-                self.resolve_verification(job, neighbor, new_errors, at);
+                // The victims are read, then their buffer goes back to the
+                // job for the next write.
+                let mut new_errors = std::mem::take(&mut job.injected[side.idx()]);
+                self.resolve_verification(job, neighbor, &new_errors, at);
+                new_errors.clear();
+                job.injected[side.idx()] = new_errors;
             }
             Step::CascadeVerify(line) => {
                 self.ls.stats.phases.cascade_reads += t.read;
@@ -162,7 +161,7 @@ impl Lane<'_, '_> {
                 self.ls.stats.cascade_rounds.inc();
                 self.ls.energy.charge_read(512, true);
                 let new_errors = job.take_cascade(line);
-                self.resolve_verification(job, line, new_errors, at);
+                self.resolve_verification(job, line, &new_errors, at);
             }
             Step::EcpWrite { line, cells } => {
                 self.ls.stats.phases.ecp_writes += t.reset_pulse;
@@ -179,12 +178,11 @@ impl Lane<'_, '_> {
                 self.store.apply_write(line, &fix, WriteClass::Correction);
                 self.store.ecp_mut(line).clear_disturb();
                 // The correction's RESET pulses disturb the corrected
-                // line's own word-line cells and its bit-line neighbours:
-                // cascading verification (§3.2).
-                let mut own_wl = Vec::new();
-                let _ = self.inject_for(line, &fix, Some(&mut own_wl));
-                if !own_wl.is_empty() {
-                    job.add_cascade(line, own_wl);
+                // line's own word-line cells (left in `wl_scratch`) and
+                // its bit-line neighbours: cascading verification (§3.2).
+                let _ = self.inject_for(line, &fix, None);
+                if !self.ls.wl_scratch.is_empty() {
+                    job.add_cascade(line, &self.ls.wl_scratch);
                     if !job.has_cascade_step(line) {
                         job.steps.push_front(Step::CascadeVerify(line));
                     }
@@ -207,7 +205,7 @@ impl Lane<'_, '_> {
                     let Some(n) = neighbors[side.idx()] else {
                         continue;
                     };
-                    job.add_cascade(n, victims.clone());
+                    job.add_cascade(n, victims);
                     if !job.has_cascade_step(n) {
                         job.steps.push_front(Step::CascadeVerify(n));
                     }
@@ -218,9 +216,10 @@ impl Lane<'_, '_> {
 
     /// Injects disturbances for a committed programming operation on
     /// `addr`: word-line victims inside the line (appended to `wl_out`
-    /// when given) and bit-line victims in both physical neighbours,
-    /// left in `self.ls.bl_hits` until the next call. Returns the
-    /// word-line victim count.
+    /// when given, and left in `self.ls.wl_scratch`) and bit-line
+    /// victims in both physical neighbours, left in `self.ls.bl_hits`;
+    /// both stay valid until the next call. Returns the word-line
+    /// victim count.
     ///
     /// Every injection draws from the injector's *event stream* keyed
     /// by `(line, epoch)` — the line's stable address key plus a
@@ -261,7 +260,7 @@ impl Lane<'_, '_> {
             if let Some(n) = neighbors[side.idx()] {
                 // Decommissioned lines are no longer programmed in the
                 // array, so they can neither disturb nor be disturbed.
-                if !self.ls.salvaged.contains_key(&n) {
+                if !self.ls.is_salvaged(n) {
                     self.store.disturb_with(n, &mut victims, |raw, v| {
                         injector.draw_bitline_into(&ev, side.idx(), diff, raw, v);
                     });
@@ -289,14 +288,14 @@ impl Lane<'_, '_> {
         &mut self,
         job: &mut WriteJob,
         line: LineAddr,
-        new_errors: Vec<u16>,
+        new_errors: &[u16],
         at: Cycle,
     ) {
         let _t = prof::timer(Site::CtrlVerify);
-        if self.ls.salvaged.contains_key(&line) {
+        if self.ls.is_salvaged(line) {
             return;
         }
-        self.plant_hard_excluding(line, &new_errors);
+        self.plant_hard_excluding(line, new_errors);
         self.ls
             .stats
             .errors_per_verification
@@ -310,14 +309,14 @@ impl Lane<'_, '_> {
             .map_or(self.sh.cfg.ecp_entries, |t| t.free_slots());
         if self.sh.cfg.scheme.lazy_correction {
             let retry_cap = self.sh.cfg.ecp_retry_cap;
-            let distress = self.ls.distress.get(&line).copied().unwrap_or(0);
+            let distress = self.ls.distress_of(line);
             if distress > retry_cap {
                 // Rung 2: buffering is abandoned for this line; count
                 // distress toward the decommission threshold.
                 let d = distress + 1;
                 self.ls.distress.insert(line, d);
                 if d >= self.sh.cfg.decommission_after
-                    && self.try_decommission(line, job, &new_errors, at)
+                    && self.try_decommission(line, job, new_errors, at)
                 {
                     return;
                 }
@@ -326,12 +325,12 @@ impl Lane<'_, '_> {
                 if self.sh.cfg.scheme.ecp_write_inline {
                     job.steps.push_front(Step::EcpWrite {
                         line,
-                        cells: new_errors,
+                        cells: new_errors.to_vec(),
                     });
                 } else {
                     // The record targets the separate ECP chip and overlaps
                     // with the bank's next data operation.
-                    self.record_ecp(line, &new_errors);
+                    self.record_ecp(line, new_errors);
                 }
                 return;
             } else {
@@ -360,7 +359,7 @@ impl Lane<'_, '_> {
                     .collect()
             })
             .unwrap_or_default();
-        cells.extend(new_errors);
+        cells.extend_from_slice(new_errors);
         cells.sort_unstable();
         cells.dedup();
         job.steps.push_front(Step::Correction { line, cells });
@@ -439,7 +438,7 @@ mod tests {
     use sdpcm_pcm::wear::HardErrorModel;
 
     use crate::ctrl::testkit::*;
-    use crate::ctrl::CtrlConfig;
+    use crate::ctrl::{CtrlConfig, MemoryController};
     use crate::req::Access;
     use crate::scheme::CtrlScheme;
     use crate::writejob::{WqEntry, WriteJob};
@@ -510,6 +509,45 @@ mod tests {
         assert_eq!(c.architectural_line(victim_up), up_data);
         assert_eq!(c.architectural_line(victim_down), down_data);
         assert!(c.stats().correction_ops.get() > 0, "VnC actually corrected");
+    }
+
+    #[test]
+    fn a_bank_recycles_one_job_for_all_its_writes() {
+        // Hammer a line between two victims until the bank's jobs have
+        // run own-line fixes, corrections and cascades.
+        let mut c = ctrl(CtrlScheme::baseline_vnc());
+        let target = line(3, 41, 7);
+        for (i, row) in [40, 42].into_iter().enumerate() {
+            let t = Cycle(i as u64);
+            c.submit(write(i as u64, line(3, row, 7), patterned(10), t), t)
+                .unwrap();
+        }
+        let _ = run_until_idle(&mut c);
+        let spare = |c: &mut MemoryController| {
+            let job = lane_state(c, 3).spare_job.as_deref().expect("a spare job");
+            std::ptr::from_ref(job)
+        };
+        let first = spare(&mut c);
+        for i in 0..50u64 {
+            let t = Cycle(1_000_000 + i);
+            c.submit(write(100 + i, target, patterned(100 + i), t), t)
+                .unwrap();
+            let _ = run_until_idle(&mut c);
+            assert_eq!(spare(&mut c), first, "write {i} reused the job");
+        }
+        let s = c.stats();
+        assert!(s.phases.own_fixes > Cycle::ZERO);
+        assert!(s.correction_ops.get() > 0);
+        assert!(s.cascade_rounds.get() > 0);
+        // Reset, the job is a new one in every field.
+        let mut job = lane_state(&mut c, 3).spare_job.take().unwrap();
+        for bits in 0..32u32 {
+            let bit = |i: u32| bits >> i & 1 == 1;
+            let mut e = WqEntry::new(write(1, target, patterned(1), Cycle(0)), [true, true]);
+            e.pr_done = [bit(0), bit(1)];
+            job.reset(e, bit(2), bit(3), bit(4));
+            assert_eq!(*job, WriteJob::new(e, bit(2), bit(3), bit(4)));
+        }
     }
 
     #[test]
@@ -613,7 +651,7 @@ mod tests {
         let mut job = WriteJob::new(WqEntry::new(access, [true, true]), true, true, true);
         for n in 1..=cfg.decommission_after + 1 {
             with_lane(&mut c, 0, |lane| {
-                lane.resolve_verification(&mut job, victim, vec![7], Cycle(u64::from(n)));
+                lane.resolve_verification(&mut job, victim, &[7], Cycle(u64::from(n)));
             });
             let s = c.stats();
             let (retries, immediate, decommissions) = match n {

@@ -112,25 +112,84 @@ impl Lane<'_, '_> {
                 | Step::CascadeVerify(l) if *l == line)
         });
         job.cascade_pending.retain(|(l, _)| *l != line);
-        // Absorb any queued write to the line (coalescing keeps at most
-        // one) so its requester still sees a completion.
-        let removed = {
+        // Absorb every queued write to the line so each requester still
+        // sees a completion. Coalescing keeps one entry per line, but a
+        // cancelled write goes back at the front, ahead of any later write
+        // to its line; the queue holds them oldest first, so the last one
+        // absorbed leaves the newest data in the buffer.
+        while self.ls.bank.wq_contains(line) {
             let b = &mut self.ls.bank;
-            if b.wq_contains(line) {
-                b.write_q
-                    .iter()
-                    .position(|e| e.access.addr == line)
-                    .and_then(|pos| b.wq_remove(pos))
-            } else {
-                None
-            }
-        };
-        if let Some(e) = removed {
+            let Some(e) = b
+                .write_q
+                .iter()
+                .position(|e| e.access.addr == line)
+                .and_then(|pos| b.wq_remove(pos))
+            else {
+                self.ls
+                    .note_anomaly("write-queue index holds a line the queue does not");
+                break;
+            };
             if let Some(d) = e.access.kind.write_data() {
                 self.ls.salvaged.insert(line, d);
             }
             self.push_completion(&e.access, at + FORWARD_LATENCY, None);
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sdpcm_engine::Cycle;
+
+    use crate::ctrl::testkit::*;
+    use crate::ctrl::FORWARD_LATENCY;
+    use crate::req::ReqId;
+    use crate::scheme::CtrlScheme;
+    use crate::writejob::{WqEntry, WriteJob};
+
+    #[test]
+    fn decommission_absorbs_every_queued_write_to_the_line() {
+        // A cancelled write goes back at the front, ahead of a later
+        // write to its line: both are queued when the line retires.
+        let mut c = ctrl(CtrlScheme::lazyc().with_write_cancellation());
+        let victim = line(0, 40, 3);
+        let (older, newer) = (patterned(1), patterned(2));
+        let other = line(0, 50, 3);
+        let b = &mut lane_state(&mut c, 0).bank;
+        b.wq_push(
+            WqEntry::new(write(1, victim, older, Cycle(0)), [true, true]),
+            false,
+        );
+        b.wq_push(
+            WqEntry::new(write(2, other, patterned(3), Cycle(0)), [true, true]),
+            false,
+        );
+        b.wq_push(
+            WqEntry::new(write(3, victim, newer, Cycle(0)), [true, true]),
+            false,
+        );
+        // The verifying job writes a neighbour of the victim.
+        let access = write(4, line(0, 41, 3), patterned(4), Cycle(0));
+        let mut job = WriteJob::new(WqEntry::new(access, [true, true]), true, true, true);
+        let at = Cycle(100);
+        assert!(with_lane(&mut c, 0, |lane| lane.try_decommission(
+            victim,
+            &mut job,
+            &[],
+            at
+        )));
+        let lane = lane_state(&mut c, 0);
+        assert_eq!(lane.salvaged.get(&victim), Some(&newer), "newest data wins");
+        let queued: Vec<_> = lane.bank.write_q.iter().map(|e| e.access.addr).collect();
+        assert_eq!(queued, [other], "no write left to program the retired line");
+        c.check_wq_index().unwrap();
+        assert_eq!(c.architectural_line(victim), newer);
+        let done = run_until_idle(&mut c);
+        for id in [1, 3] {
+            let d = done.iter().find(|d| d.id == ReqId(id)).unwrap();
+            assert_eq!(d.at, at + FORWARD_LATENCY, "write {id} completes");
+        }
+        assert_eq!(c.architectural_line(victim), newer);
     }
 }

@@ -48,7 +48,7 @@ impl Side {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step {
     /// Pre-write read of an adjacent line (skipped when PreRead already
-    /// buffered it).
+    /// read it while the write was queued).
     PreRead(Side),
     /// The differential array write of the demand data.
     ArrayWrite,
@@ -86,16 +86,19 @@ impl Step {
     }
 }
 
-/// An entry of the write queue, with the PreRead enhancement bits
-/// (Figure 8: two flag bits + two 64 B buffers per entry).
-#[derive(Debug, Clone)]
+/// An entry of the write queue, with the PreRead flag bits.
+///
+/// Figure 8 gives each entry two flag bits and two 64 B buffers for the
+/// neighbours' pre-write contents. Only the flags are modelled, with the
+/// bank time the reads take: verification compares each neighbour
+/// against the victims the write's injection recorded, so the buffered
+/// contents would never be read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WqEntry {
     /// The demand write.
     pub access: Access,
     /// PreRead flag bits: pre-write read done for up/down.
     pub pr_done: [bool; 2],
-    /// The buffered old data of the adjacent lines.
-    pub pr_buf: [Option<LineBuf>; 2],
     /// Which neighbours may need verification, fixed when the write is
     /// queued: the scheme's VnC switch, the (n:m) policy for the line's
     /// strip, and whether the neighbour exists. Decommissioning can
@@ -113,7 +116,6 @@ impl WqEntry {
         WqEntry {
             access,
             pr_done: [false; 2],
-            pr_buf: [None; 2],
             need,
         }
     }
@@ -132,7 +134,11 @@ impl WqEntry {
 pub const MAX_JOB_STEPS: u32 = 1_000;
 
 /// The in-flight write job.
-#[derive(Debug, Clone)]
+///
+/// A bank lane keeps a finished job as a spare and [`WriteJob::reset`]s
+/// it for its next write, so the job and its buffers are allocated once
+/// per bank rather than once per write.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteJob {
     /// The originating queue entry (returned to the queue on cancel).
     pub entry: WqEntry,
@@ -165,7 +171,28 @@ impl WriteJob {
     /// verification needs.
     #[must_use]
     pub fn new(entry: WqEntry, need_up: bool, need_down: bool, own_verify: bool) -> WriteJob {
-        let mut steps = VecDeque::new();
+        let mut job = WriteJob {
+            entry,
+            steps: VecDeque::new(),
+            committed: false,
+            diff: None,
+            encoded: None,
+            new_flags: DinFlags::default(),
+            pending_wl: Vec::new(),
+            injected: [Vec::new(), Vec::new()],
+            cascade_pending: Vec::new(),
+            steps_done: 0,
+        };
+        job.reset(entry, need_up, need_down, own_verify);
+        job
+    }
+
+    /// Turns this job, whatever state it is in, into
+    /// `WriteJob::new(entry, need_up, need_down, own_verify)`, keeping
+    /// the capacity of its step and victim buffers.
+    pub fn reset(&mut self, entry: WqEntry, need_up: bool, need_down: bool, own_verify: bool) {
+        let steps = &mut self.steps;
+        steps.clear();
         if need_up && !entry.pr_done[Side::Up.idx()] {
             steps.push_back(Step::PreRead(Side::Up));
         }
@@ -182,27 +209,26 @@ impl WriteJob {
         if need_down {
             steps.push_back(Step::PostRead(Side::Down));
         }
-        WriteJob {
-            entry,
-            steps,
-            committed: false,
-            diff: None,
-            encoded: None,
-            new_flags: DinFlags::default(),
-            pending_wl: Vec::new(),
-            injected: [Vec::new(), Vec::new()],
-            cascade_pending: Vec::new(),
-            steps_done: 0,
+        self.entry = entry;
+        self.committed = false;
+        self.diff = None;
+        self.encoded = None;
+        self.new_flags = DinFlags::default();
+        self.pending_wl.clear();
+        for victims in &mut self.injected {
+            victims.clear();
         }
+        self.cascade_pending.clear();
+        self.steps_done = 0;
     }
 
     /// Adds injected errors for a cascade-verified line, merging with an
     /// existing pending entry for the same line.
-    pub fn add_cascade(&mut self, line: LineAddr, mut bits: Vec<u16>) {
+    pub fn add_cascade(&mut self, line: LineAddr, bits: &[u16]) {
         if let Some((_, existing)) = self.cascade_pending.iter_mut().find(|(l, _)| *l == line) {
-            existing.append(&mut bits);
+            existing.extend_from_slice(bits);
         } else {
-            self.cascade_pending.push((line, bits));
+            self.cascade_pending.push((line, bits.to_vec()));
         }
     }
 
@@ -279,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn prereads_skipped_when_buffered() {
+    fn prereads_skipped_when_already_done() {
         let mut e = entry();
         e.pr_done = [true, false];
         let job = WriteJob::new(e, true, true, false);
@@ -318,12 +344,60 @@ mod tests {
     #[test]
     fn cascade_merge_and_take() {
         let mut job = WriteJob::new(entry(), true, true, true);
-        job.add_cascade(line(4), vec![1, 2]);
-        job.add_cascade(line(4), vec![3]);
-        job.add_cascade(line(6), vec![9]);
+        job.add_cascade(line(4), &[1, 2]);
+        job.add_cascade(line(4), &[3]);
+        job.add_cascade(line(6), &[9]);
         assert_eq!(job.take_cascade(line(4)), vec![1, 2, 3]);
         assert_eq!(job.take_cascade(line(4)), Vec::<u16>::new());
         assert_eq!(job.take_cascade(line(6)), vec![9]);
+    }
+
+    #[test]
+    fn a_reset_job_equals_a_new_one() {
+        // Every field a run of the program can leave behind: own-line
+        // fixes, corrections, ECP records and cascades, all committed.
+        let dirty = || {
+            let mut job = WriteJob::new(entry(), true, true, true);
+            job.steps.clear();
+            job.steps.push_back(Step::OwnFix);
+            job.steps.push_back(Step::Correction {
+                line: line(4),
+                cells: vec![1, 2],
+            });
+            job.steps.push_back(Step::EcpWrite {
+                line: line(6),
+                cells: vec![3],
+            });
+            job.steps.push_back(Step::CascadeVerify(line(7)));
+            job.committed = true;
+            job.diff = Some(DiffMask::reset_only_cells(&[5, 9]));
+            job.encoded = Some(LineBuf::from_words([u64::MAX; 8]));
+            job.new_flags = DinFlags(0b1011);
+            job.pending_wl.extend_from_slice(&[11, 12]);
+            job.injected[0].extend_from_slice(&[13]);
+            job.injected[1].extend_from_slice(&[14, 15]);
+            job.add_cascade(line(7), &[16]);
+            job.add_cascade(line(8), &[17, 18]);
+            job.steps_done = 9;
+            job
+        };
+        for bits in 0..32u32 {
+            let bit = |i: u32| bits >> i & 1 == 1;
+            let mut e = entry();
+            e.pr_done = [bit(0), bit(1)];
+            let (need_up, need_down, own_verify) = (bit(2), bit(3), bit(4));
+            let fresh = WriteJob::new(e, need_up, need_down, own_verify);
+            let mut job = dirty();
+            job.reset(e, need_up, need_down, own_verify);
+            assert_eq!(
+                job, fresh,
+                "pr_done {:?}, need ({need_up}, {need_down}), own {own_verify}",
+                e.pr_done
+            );
+            // Resetting twice, as recycling does, changes nothing more.
+            job.reset(e, need_up, need_down, own_verify);
+            assert_eq!(job, fresh);
+        }
     }
 
     #[test]

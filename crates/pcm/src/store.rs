@@ -66,6 +66,17 @@ struct LineRecord {
 }
 
 impl LineRecord {
+    /// Applies a differential-write mask to the cells (see
+    /// [`StoreLane::apply_write`]) and returns the post-write contents.
+    fn apply(&mut self, diff: &DiffMask) -> LineBuf {
+        let mut after = diff.apply(&self.data);
+        for &(bit, stuck_val) in &self.stuck {
+            after.set_bit(bit as usize, stuck_val);
+        }
+        self.data = after;
+        after
+    }
+
     /// Crystallizes one idle amorphous cell (see
     /// [`StoreLane::inject_disturb`]).
     fn disturb(&mut self, bit: u16) -> bool {
@@ -213,6 +224,16 @@ impl BankStore {
         }
     }
 
+    /// See [`DeviceStore::read_line_and_flags`].
+    fn read_line_and_flags(&self, init: InitContent, addr: LineAddr) -> (LineBuf, u64) {
+        let _t = prof::timer(Site::StoreRead);
+        match self.record(addr) {
+            Some(r) if r.materialized && r.ecp.entries().is_empty() => (r.data, r.din_flags),
+            Some(r) if r.materialized => (r.ecp.patch(&r.data), r.din_flags),
+            r => (initial_line_of(init, addr), r.map_or(0, |r| r.din_flags)),
+        }
+    }
+
     /// See [`DeviceStore::hard_error_count`].
     fn hard_error_count(&self, addr: LineAddr) -> usize {
         self.line(addr).map_or(0, |l| l.stuck.len())
@@ -333,6 +354,14 @@ impl DeviceStore {
         self.banks[addr.bank.0 as usize].read_line(self.init, addr)
     }
 
+    /// [`DeviceStore::read_line`] and [`DeviceStore::din_flags`] of a
+    /// line in one index probe: what its architectural (DIN-decoded)
+    /// read needs.
+    #[must_use]
+    pub fn read_line_and_flags(&self, addr: LineAddr) -> (LineBuf, u64) {
+        self.banks[addr.bank.0 as usize].read_line_and_flags(self.init, addr)
+    }
+
     /// Number of stuck cells planted on a line.
     #[must_use]
     pub fn hard_error_count(&self, addr: LineAddr) -> usize {
@@ -432,11 +461,31 @@ impl<'a> StoreLane<'a> {
             .map_or_else(|| self.initial_line(addr), |l| l.data)
     }
 
+    /// [`StoreLane::raw_line`] and [`StoreLane::din_flags`] in one index
+    /// probe: what DIN-encoding a write to the line needs.
+    #[must_use]
+    pub fn raw_line_and_flags(&self, addr: LineAddr) -> (LineBuf, u64) {
+        let _t = prof::timer(Site::StoreRead);
+        self.check(addr);
+        match self.bank.record(addr) {
+            Some(r) if r.materialized => (r.data, r.din_flags),
+            r => (self.initial_line(addr), r.map_or(0, |r| r.din_flags)),
+        }
+    }
+
     /// Architectural read (see [`DeviceStore::read_line`]).
     #[must_use]
     pub fn read_line(&self, addr: LineAddr) -> LineBuf {
         self.check(addr);
         self.bank.read_line(self.init, addr)
+    }
+
+    /// Architectural read and DIN flags in one index probe (see
+    /// [`DeviceStore::read_line_and_flags`]).
+    #[must_use]
+    pub fn read_line_and_flags(&self, addr: LineAddr) -> (LineBuf, u64) {
+        self.check(addr);
+        self.bank.read_line_and_flags(self.init, addr)
     }
 
     /// Applies a differential-write mask to the array. Stuck cells retain
@@ -447,15 +496,40 @@ impl<'a> StoreLane<'a> {
     /// this lane's bank meter.
     pub fn apply_write(&mut self, addr: LineAddr, diff: &DiffMask, class: WriteClass) -> LineBuf {
         let _t = prof::timer(Site::StoreWrite);
-        let line = self.line_mut(addr);
-        let mut after = diff.apply(&line.data);
-        for &(bit, stuck_val) in &line.stuck {
-            after.set_bit(bit as usize, stuck_val);
-        }
-        line.data = after;
+        let after = self.line_mut(addr).apply(diff);
         self.bank
             .wear
             .charge_data_bits(u64::from(diff.changed_count()), class);
+        after
+    }
+
+    /// Commits a demand write in one record lookup:
+    /// [`StoreLane::apply_write`] under [`WriteClass::Normal`], then
+    /// three metadata updates. The ECP `value` fields of hard-error
+    /// entries take the bits of `intended`, the data the write was
+    /// supposed to store, so reads patch stuck cells with it. The line's
+    /// DIN inversion flags become `flags`. Its buffered-disturbance ECP
+    /// entries are cleared: the write re-programmed those cells.
+    /// Returns the post-write raw contents.
+    pub fn commit_write(
+        &mut self,
+        addr: LineAddr,
+        diff: &DiffMask,
+        intended: &LineBuf,
+        flags: u64,
+    ) -> LineBuf {
+        let _t = prof::timer(Site::StoreWrite);
+        let line = self.line_mut(addr);
+        let after = line.apply(diff);
+        for &(bit, _) in &line.stuck {
+            line.ecp
+                .try_record(bit, intended.bit(bit as usize), EcpKind::Hard);
+        }
+        line.din_flags = flags;
+        line.ecp.clear_disturb();
+        self.bank
+            .wear
+            .charge_data_bits(u64::from(diff.changed_count()), WriteClass::Normal);
         after
     }
 
@@ -534,14 +608,6 @@ impl<'a> StoreLane<'a> {
         self.bank.din_flags(addr)
     }
 
-    /// Stores a line's DIN inversion flags. Metadata only: the line's
-    /// cells are not touched, so this alone does not materialize it.
-    pub fn set_din_flags(&mut self, addr: LineAddr, flags: u64) {
-        self.check(addr);
-        let i = self.bank.position(self.ecp_entries, addr);
-        self.bank.at_mut(i).din_flags = flags;
-    }
-
     /// Plants a permanent stuck-at fault and records it in the line's ECP
     /// table (hard errors have allocation priority). Returns `false` if
     /// the ECP table could not absorb it (table full of hard errors) — the
@@ -571,18 +637,6 @@ impl<'a> StoreLane<'a> {
             line.data.set_bit(bit as usize, stuck_val);
         }
         line.ecp.try_record(bit, correct, EcpKind::Hard)
-    }
-
-    /// Refreshes the ECP `value` fields of hard-error entries after a
-    /// write so reads patch stuck cells with the newly written data.
-    ///
-    /// `intended` is the data the write was supposed to store.
-    pub fn refresh_hard_values(&mut self, addr: LineAddr, intended: &LineBuf) {
-        let line = self.line_mut(addr);
-        for &(bit, _) in &line.stuck {
-            line.ecp
-                .try_record(bit, intended.bit(bit as usize), EcpKind::Hard);
-        }
     }
 
     /// Borrowed view of a line's ECP table, `None` for untouched lines
@@ -729,10 +783,9 @@ mod tests {
         let mut data = LineBuf::zeroed();
         data.set_bit(100, true);
         let diff = DiffMask::between(&lane.raw_line(a), &data);
-        lane.apply_write(a, &diff, WriteClass::Normal);
+        lane.commit_write(a, &diff, &data, 0);
         assert!(!lane.raw_line(a).bit(100), "stuck at 0");
-        // But ECP patches the read once refreshed with the intended data.
-        lane.refresh_hard_values(a, &data);
+        // But ECP patches the read with the intended data.
         assert!(lane.read_line(a).bit(100));
         // Disturbance cannot flip it either.
         lane.inject_disturb(a, 100);
@@ -827,7 +880,7 @@ mod tests {
     }
 
     #[test]
-    fn flag_and_epoch_records_stay_invisible() {
+    fn epoch_records_stay_invisible() {
         let init = InitContent::Pseudorandom(7);
         let mut dev = DeviceStore::with_init(MemGeometry::small(64), 6, init);
         let empty = dev.content_digest();
@@ -839,10 +892,8 @@ mod tests {
             epoch
         });
         assert_eq!(epoch, 0);
-        lane.set_din_flags(a, 0b101);
         lane.disturb_with(addr(2, 10, 4), &mut victims, |_, _| {});
         assert_eq!(lane.inject_epoch(a), 1);
-        assert_eq!(lane.din_flags(a), 0b101);
         assert_eq!(lane.ecp_ref(a), None);
         assert_eq!(dev.materialized_lines(), 0);
         assert_eq!(dev.content_digest(), empty);
@@ -858,7 +909,6 @@ mod tests {
         );
         assert_eq!(victims.len(), 2);
         assert_eq!(lane.inject_epoch(a), 2);
-        assert_eq!(lane.din_flags(a), 0b101);
         assert_eq!(dev.materialized_lines(), 1);
         let mut expect = dev.initial_line(a);
         for &b in &victims {
@@ -929,21 +979,24 @@ mod tests {
             let (flag, value) = (r >> 63 == 1, r >> 62 & 1 == 1);
             let at = || format!("{init:?}, op {n} (kind {}), {line}", op % 12);
             let mut lane = dev.lane_mut(line.bank.0);
+            // A differential write from the raw contents to a few cells
+            // rewritten, or to fresh data.
+            let write_of = |raw: LineBuf| {
+                let target = if op & 0x80 == 0 {
+                    let mut t = raw;
+                    for j in 0..4 {
+                        let b = mix(r ^ j) as usize % 512;
+                        t.set_bit(b, !t.bit(b));
+                    }
+                    t
+                } else {
+                    LineBuf::from_words(std::array::from_fn(|j| mix(r ^ j as u64)))
+                };
+                (DiffMask::between(&raw, &target), target)
+            };
             match op % 12 {
                 0 | 1 => {
-                    let raw = lane.raw_line(line);
-                    let target = if op & 0x80 == 0 {
-                        // A few cells rewritten.
-                        let mut t = raw;
-                        for j in 0..4 {
-                            let b = mix(r ^ j) as usize % 512;
-                            t.set_bit(b, !t.bit(b));
-                        }
-                        t
-                    } else {
-                        LineBuf::from_words(std::array::from_fn(|j| mix(r ^ j as u64)))
-                    };
-                    let diff = DiffMask::between(&raw, &target);
+                    let (diff, _) = write_of(lane.raw_line(line));
                     let class = [
                         WriteClass::Normal,
                         WriteClass::WordlineFix,
@@ -970,10 +1023,16 @@ mod tests {
                     "{}",
                     at()
                 ),
-                5 => {
-                    let intended = LineBuf::from_words(std::array::from_fn(|j| mix(r ^ j as u64)));
-                    lane.refresh_hard_values(line, &intended);
+                5 | 8 => {
+                    // The fused commit against the four separate calls
+                    // it replaces.
+                    let (diff, intended) = write_of(lane.raw_line(line));
+                    let after = lane.commit_write(line, &diff, &intended, r);
+                    oracle.apply_write(line, &diff, WriteClass::Normal);
                     oracle.refresh_hard_values(line, &intended);
+                    oracle.set_din_flags(line, r);
+                    oracle.ecp_mut(line).clear_disturb();
+                    assert_eq!(after, oracle.raw_line(line), "{}", at());
                 }
                 6 => {
                     let kind = if flag {
@@ -994,10 +1053,6 @@ mod tests {
                     "{}",
                     at()
                 ),
-                8 => {
-                    lane.set_din_flags(line, r);
-                    oracle.set_din_flags(line, r);
-                }
                 9 => {
                     let epoch =
                         lane.disturb_programmed_with(line, &mut victims, |epoch, raw, v| {
@@ -1023,6 +1078,11 @@ mod tests {
             let lane = dev.lane_mut(line.bank.0);
             assert_eq!(lane.read_line(line), oracle.read_line(line), "{}", at());
             assert_eq!(lane.raw_line(line), oracle.raw_line(line), "{}", at());
+            // The fused reads against the oracle's separate calls.
+            let read_and_flags = (oracle.read_line(line), oracle.din_flags(line));
+            let raw_and_flags = (oracle.raw_line(line), oracle.din_flags(line));
+            assert_eq!(lane.read_line_and_flags(line), read_and_flags, "{}", at());
+            assert_eq!(lane.raw_line_and_flags(line), raw_and_flags, "{}", at());
             assert_eq!(lane.ecp_ref(line), oracle.ecp_ref(line), "{}", at());
             assert_eq!(lane.din_flags(line), oracle.din_flags(line), "{}", at());
             assert_eq!(
@@ -1039,6 +1099,7 @@ mod tests {
             );
             assert_eq!(dev.read_line(line), oracle.read_line(line), "{}", at());
             assert_eq!(dev.din_flags(line), oracle.din_flags(line), "{}", at());
+            assert_eq!(dev.read_line_and_flags(line), read_and_flags, "{}", at());
             assert_eq!(dev.wear(), oracle.wear(), "{}", at());
             assert_eq!(
                 dev.materialized_lines(),

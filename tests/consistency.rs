@@ -23,6 +23,7 @@ struct Harness {
     next_id: u64,
     mismatches: Vec<LineAddr>,
     reads_checked: u64,
+    writes_submitted: u64,
     /// Under Start-Gap, never-written lines read as some *other*
     /// physical slot's initial content — skip those checks.
     check_unwritten: bool,
@@ -34,9 +35,14 @@ const SEED: u64 = 2024;
 impl Harness {
     /// A harness whose controller and request stream both draw from `seed`.
     fn new(scheme: CtrlScheme, seed: u64) -> Harness {
+        Harness::with_config(CtrlConfig::table2(scheme), seed)
+    }
+
+    /// [`Harness::new`] with a full controller configuration.
+    fn with_config(cfg: CtrlConfig, seed: u64) -> Harness {
         Harness {
             ctrl: MemoryController::new(
-                CtrlConfig::table2(scheme),
+                cfg,
                 MemGeometry::small(512),
                 SimRng::from_seed_label(seed, "consistency-ctrl"),
             ),
@@ -47,6 +53,7 @@ impl Harness {
             next_id: 0,
             mismatches: Vec::new(),
             reads_checked: 0,
+            writes_submitted: 0,
             check_unwritten: true,
         }
     }
@@ -109,6 +116,7 @@ impl Harness {
                 data.set_bit(b, !v);
             }
             self.shadow.insert(addr, data);
+            self.writes_submitted += 1;
             self.ctrl
                 .submit(
                     Access {
@@ -160,6 +168,21 @@ impl Harness {
         self.check(done);
     }
 
+    /// Idle pre-reads are issued at most once per side of each write
+    /// the queues took in: a submitted write, a cancelled one going back
+    /// or a Start-Gap copy. Flags lost to the wrong entry show up here
+    /// as pre-reads re-issued without end.
+    fn check_preread_bound(&self) {
+        let s = self.ctrl.stats();
+        let entries = self.writes_submitted + s.write_cancellations.get() + s.gap_moves.get();
+        assert!(
+            s.prereads_issued.get() <= 2 * entries,
+            "{} pre-reads issued for {} queued writes",
+            s.prereads_issued.get(),
+            entries
+        );
+    }
+
     /// After the dust settles, every line must hold its shadow value.
     fn final_sweep_mismatches(&self) -> usize {
         self.shadow
@@ -174,7 +197,11 @@ fn run(scheme: CtrlScheme, ratio: NmRatio, steps: u32) -> Harness {
 }
 
 fn run_seeded(scheme: CtrlScheme, ratio: NmRatio, steps: u32, seed: u64) -> Harness {
-    let mut h = Harness::new(scheme, seed);
+    run_config(CtrlConfig::table2(scheme), ratio, steps, seed)
+}
+
+fn run_config(cfg: CtrlConfig, ratio: NmRatio, steps: u32, seed: u64) -> Harness {
+    let mut h = Harness::with_config(cfg, seed);
     for _ in 0..steps {
         h.step(ratio);
     }
@@ -183,6 +210,7 @@ fn run_seeded(scheme: CtrlScheme, ratio: NmRatio, steps: u32, seed: u64) -> Harn
         h.reads_checked > steps as u64 / 4,
         "reads actually happened"
     );
+    h.check_preread_bound();
     h
 }
 
@@ -297,6 +325,7 @@ fn start_gap_wear_leveling_never_corrupts() {
         h.step(NmRatio::one_one());
     }
     h.finish();
+    h.check_preread_bound();
     assert_eq!(h.mismatches, vec![]);
     assert_eq!(h.final_sweep_mismatches(), 0);
     assert!(h.ctrl.stats().gap_moves.get() > 100, "gap actually rotated");
@@ -340,32 +369,55 @@ fn aged_dimm_with_hard_errors_never_corrupts() {
 /// Write cancellation re-queues a cancelled write at the front of its
 /// bank's queue, possibly ahead of a later write to the same line, so
 /// the seeds that happen to build that state matter. Every cancelling
-/// scheme at 200 seeds each.
+/// scheme at 200 seeds each, plus LazyC+PreRead+WC at ECP-1, where
+/// tables exhaust fast enough that lines are decommissioned with such
+/// pairs queued. Every run also checks the pre-read bound.
 #[test]
 #[ignore = "release soak; run with --ignored"]
 fn write_cancellation_never_corrupts_across_seeds() {
-    let schemes = [
+    let table2 = CtrlConfig::table2;
+    let configs = [
         (
             "BaselineVnC+WC",
-            CtrlScheme::baseline_vnc().with_write_cancellation(),
+            table2(CtrlScheme::baseline_vnc().with_write_cancellation()),
         ),
-        ("LazyC+WC", CtrlScheme::lazyc().with_write_cancellation()),
+        (
+            "LazyC+WC",
+            table2(CtrlScheme::lazyc().with_write_cancellation()),
+        ),
         (
             "LazyC+PreRead+WC",
-            CtrlScheme::lazyc_preread().with_write_cancellation(),
+            table2(CtrlScheme::lazyc_preread().with_write_cancellation()),
         ),
         (
             "LazyC+WP+WC",
-            CtrlScheme::lazyc()
-                .with_write_pausing()
-                .with_write_cancellation(),
+            table2(
+                CtrlScheme::lazyc()
+                    .with_write_pausing()
+                    .with_write_cancellation(),
+            ),
+        ),
+        (
+            "LazyC+PreRead+WC at ECP-1",
+            CtrlConfig {
+                ecp_entries: 1,
+                ..table2(CtrlScheme::lazyc_preread().with_write_cancellation())
+            },
         ),
     ];
-    for (name, scheme) in schemes {
+    for (name, cfg) in configs {
+        let mut decommissions = 0;
         for seed in 0..200 {
-            let h = run_seeded(scheme, NmRatio::one_one(), 3000, seed);
+            let h = run_config(cfg, NmRatio::one_one(), 3000, seed);
             assert_eq!(h.mismatches, vec![], "{name} seed {seed}");
             assert_eq!(h.final_sweep_mismatches(), 0, "{name} seed {seed}");
+            decommissions += h.ctrl.stats().decommissions.get();
+        }
+        if cfg.ecp_entries == 1 {
+            assert!(
+                decommissions > 0,
+                "{name}: no line reached the salvage rung"
+            );
         }
     }
 }
