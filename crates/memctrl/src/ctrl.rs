@@ -47,6 +47,7 @@
 use sdpcm_engine::prof::{self, Site};
 use sdpcm_engine::{Cycle, SimRng};
 use sdpcm_osalloc::{NmRatio, VerifyPolicy};
+use sdpcm_pcm::ecp::MAX_ECP_ENTRIES;
 use sdpcm_pcm::energy::{EnergyMeter, EnergyParams};
 use sdpcm_pcm::geometry::{LineAddr, MemGeometry};
 use sdpcm_pcm::line::LineBuf;
@@ -84,7 +85,8 @@ pub struct CtrlConfig {
     pub write_queue_cap: usize,
     /// Mechanism switches.
     pub scheme: CtrlScheme,
-    /// ECP entries per line (ECP-N; the paper's default is 6).
+    /// ECP entries per line (ECP-N; the paper's default is 6), at most
+    /// [`MAX_ECP_ENTRIES`].
     pub ecp_entries: usize,
     /// Degradation ladder, rung 1: LazyCorrection exhaustion events a
     /// line may answer with plain verify-and-correct retries before it
@@ -122,6 +124,12 @@ impl CtrlConfig {
             return Err(CtrlError::InvalidConfig {
                 field: "write_queue_cap",
                 reason: "must be > 0",
+            });
+        }
+        if self.ecp_entries > MAX_ECP_ENTRIES {
+            return Err(CtrlError::InvalidConfig {
+                field: "ecp_entries",
+                reason: "must not exceed MAX_ECP_ENTRIES, the size of a line's inline table",
             });
         }
         if self.decommission_after <= self.ecp_retry_cap {
@@ -824,6 +832,26 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn oversized_ecp_tables_are_rejected_not_panicked_on() {
+        let cfg = |ecp_entries| CtrlConfig {
+            ecp_entries,
+            ..CtrlConfig::table2(CtrlScheme::lazyc())
+        };
+        assert_eq!(cfg(MAX_ECP_ENTRIES).validate(), Ok(()));
+        let too_big = cfg(MAX_ECP_ENTRIES + 1);
+        assert!(matches!(
+            too_big.validate(),
+            Err(CtrlError::InvalidConfig {
+                field: "ecp_entries",
+                ..
+            })
+        ));
+        let err = MemoryController::try_new(too_big, MemGeometry::small(8), SimRng::from_seed(1))
+            .expect_err("rejected before the store is built");
+        assert!(err.to_string().contains("ecp_entries"));
     }
 
     #[test]

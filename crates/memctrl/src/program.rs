@@ -126,7 +126,8 @@ impl Lane<'_, '_> {
             }
             Step::OwnFix => {
                 let _t = prof::timer(Site::CtrlCorrect);
-                let cells = std::mem::take(&mut job.pending_wl);
+                // The fix's own victims collect in a spare buffer.
+                let cells = std::mem::replace(&mut job.pending_wl, job.spare.take());
                 let dur = t.correction_latency(cells.len() as u32);
                 self.ls.stats.phases.own_fixes += dur;
                 let fix = DiffMask::reset_only_cells(&cells);
@@ -140,6 +141,7 @@ impl Lane<'_, '_> {
                 if !job.pending_wl.is_empty() {
                     job.steps.push_front(Step::OwnFix);
                 }
+                job.spare.give(cells);
             }
             Step::PostRead(side) => {
                 self.ls.stats.phases.post_reads += t.read;
@@ -162,10 +164,12 @@ impl Lane<'_, '_> {
                 self.ls.energy.charge_read(512, true);
                 let new_errors = job.take_cascade(line);
                 self.resolve_verification(job, line, &new_errors, at);
+                job.spare.give(new_errors);
             }
             Step::EcpWrite { line, cells } => {
                 self.ls.stats.phases.ecp_writes += t.reset_pulse;
                 self.record_ecp(line, &cells);
+                job.spare.give(cells);
             }
             Step::Correction { line, cells } => {
                 let _t = prof::timer(Site::CtrlCorrect);
@@ -210,6 +214,7 @@ impl Lane<'_, '_> {
                         job.steps.push_front(Step::CascadeVerify(n));
                     }
                 }
+                job.spare.give(cells);
             }
         }
     }
@@ -323,10 +328,9 @@ impl Lane<'_, '_> {
                 self.ls.stats.immediate_corrections.inc();
             } else if new_errors.len() <= free_slots {
                 if self.sh.cfg.scheme.ecp_write_inline {
-                    job.steps.push_front(Step::EcpWrite {
-                        line,
-                        cells: new_errors.to_vec(),
-                    });
+                    let mut cells = job.spare.take();
+                    cells.extend_from_slice(new_errors);
+                    job.steps.push_front(Step::EcpWrite { line, cells });
                 } else {
                     // The record targets the separate ECP chip and overlaps
                     // with the bank's next data operation.
@@ -348,17 +352,14 @@ impl Lane<'_, '_> {
             }
         }
         // Correct everything: the new errors plus any buffered ones.
-        let mut cells: Vec<u16> = self
-            .store
-            .ecp_ref(line)
-            .map(|t| {
+        let mut cells = job.spare.take();
+        if let Some(t) = self.store.ecp_ref(line) {
+            cells.extend(
                 t.entries()
-                    .iter()
                     .filter(|e| e.kind == EcpKind::Disturb)
-                    .map(|e| e.bit)
-                    .collect()
-            })
-            .unwrap_or_default();
+                    .map(|e| e.bit),
+            );
+        }
         cells.extend_from_slice(new_errors);
         cells.sort_unstable();
         cells.dedup();

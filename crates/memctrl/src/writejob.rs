@@ -133,11 +133,42 @@ impl WqEntry {
 /// controller counts it and presses on.
 pub const MAX_JOB_STEPS: u32 = 1_000;
 
+/// Emptied cell-list buffers a job keeps for its next own-line fix,
+/// cascade list, ECP record or correction.
+///
+/// The pool is spare capacity, not job state: any two pools compare
+/// equal, so a reset job still equals a new one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CellPool(Vec<Vec<u16>>);
+
+impl PartialEq for CellPool {
+    fn eq(&self, _: &CellPool) -> bool {
+        true
+    }
+}
+
+impl CellPool {
+    /// An empty buffer, recycled when one is spare.
+    pub(crate) fn take(&mut self) -> Vec<u16> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Returns a buffer for reuse.
+    pub(crate) fn give(&mut self, mut cells: Vec<u16>) {
+        if cells.capacity() > 0 {
+            cells.clear();
+            self.0.push(cells);
+        }
+    }
+}
+
 /// The in-flight write job.
 ///
 /// A bank lane keeps a finished job as a spare and [`WriteJob::reset`]s
 /// it for its next write, so the job and its buffers are allocated once
-/// per bank rather than once per write.
+/// per bank rather than once per write. The cell lists that steps and
+/// cascades carry come from the job's own pool and go back to it when
+/// they are done.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WriteJob {
     /// The originating queue entry (returned to the queue on cancel).
@@ -164,6 +195,8 @@ pub struct WriteJob {
     pub cascade_pending: Vec<(LineAddr, Vec<u16>)>,
     /// Steps executed so far (safety cap).
     pub steps_done: u32,
+    /// Buffers for the cell lists above, once they are done with.
+    pub(crate) spare: CellPool,
 }
 
 impl WriteJob {
@@ -182,6 +215,7 @@ impl WriteJob {
             injected: [Vec::new(), Vec::new()],
             cascade_pending: Vec::new(),
             steps_done: 0,
+            spare: CellPool::default(),
         };
         job.reset(entry, need_up, need_down, own_verify);
         job
@@ -189,10 +223,18 @@ impl WriteJob {
 
     /// Turns this job, whatever state it is in, into
     /// `WriteJob::new(entry, need_up, need_down, own_verify)`, keeping
-    /// the capacity of its step and victim buffers.
+    /// the capacity of its step and victim buffers and pooling the cell
+    /// lists of its unfinished steps and cascades.
     pub fn reset(&mut self, entry: WqEntry, need_up: bool, need_down: bool, own_verify: bool) {
+        for step in self.steps.drain(..) {
+            if let Step::EcpWrite { cells, .. } | Step::Correction { cells, .. } = step {
+                self.spare.give(cells);
+            }
+        }
+        for (_, cells) in self.cascade_pending.drain(..) {
+            self.spare.give(cells);
+        }
         let steps = &mut self.steps;
-        steps.clear();
         if need_up && !entry.pr_done[Side::Up.idx()] {
             steps.push_back(Step::PreRead(Side::Up));
         }
@@ -218,7 +260,6 @@ impl WriteJob {
         for victims in &mut self.injected {
             victims.clear();
         }
-        self.cascade_pending.clear();
         self.steps_done = 0;
     }
 
@@ -228,11 +269,14 @@ impl WriteJob {
         if let Some((_, existing)) = self.cascade_pending.iter_mut().find(|(l, _)| *l == line) {
             existing.extend_from_slice(bits);
         } else {
-            self.cascade_pending.push((line, bits.to_vec()));
+            let mut cells = self.spare.take();
+            cells.extend_from_slice(bits);
+            self.cascade_pending.push((line, cells));
         }
     }
 
-    /// Removes and returns the injected errors pending for `line`.
+    /// Removes and returns the injected errors pending for `line`. The
+    /// controller hands the list back to the job's pool once it is read.
     #[must_use]
     pub fn take_cascade(&mut self, line: LineAddr) -> Vec<u16> {
         if let Some(pos) = self.cascade_pending.iter().position(|(l, _)| *l == line) {

@@ -1,13 +1,15 @@
 //! Sparse device store: the actual cell contents of the PCM DIMM, and
 //! the per-line state the controller keeps beside them.
 //!
-//! Each bank keeps one record per touched line: the line's 64 B of
-//! data, its ECP table and stuck-cell list, its DIN flags and its
-//! injection epoch. Records live in an append-only slab of fixed-size
-//! chunks, found through a compact index keyed `row << 6 | slot`, so a
-//! lookup probes a table of 8-byte buckets and growth never moves a
-//! record. Host memory scales with the set of touched lines, never with
-//! the address space.
+//! Each bank keeps one 112-byte record per touched line: the line's
+//! 64 B of data, its inline ECP table, its DIN flags and its injection
+//! epoch. Records live in an append-only slab of fixed-size chunks,
+//! found through a compact index keyed `row << 6 | slot`, so a lookup
+//! probes a table of 8-byte buckets and growth never moves a record.
+//! The rare lines with stuck cells (DIMM-aging runs only) keep the cell
+//! list in a side table keyed by slab position, flagged on the record,
+//! so no record holds a heap pointer. Host memory scales with the set of
+//! touched lines, never with the address space.
 //!
 //! A line is *materialized* once a write, a disturbance or an
 //! ECP/hard-error event has touched its cells. A record that so far
@@ -27,7 +29,7 @@
 use sdpcm_engine::hash::FxHashMap;
 use sdpcm_engine::prof::{self, Site};
 
-use crate::ecp::{EcpKind, EcpTable};
+use crate::ecp::{EcpKind, EcpTable, MAX_ECP_ENTRIES};
 use crate::geometry::{LineAddr, MemGeometry, LINES_PER_ROW};
 use crate::line::{DiffMask, LineBuf};
 use crate::wear::{WearMeter, WriteClass};
@@ -39,7 +41,7 @@ mod oracle;
 const SLOT_BITS: u32 = LINES_PER_ROW.trailing_zeros();
 const _: () = assert!(LINES_PER_ROW == 1 << SLOT_BITS);
 
-/// Records per slab chunk (about 18 KiB).
+/// Records per slab chunk (14 KiB).
 const CHUNK: usize = 128;
 
 /// The index key of a line within its bank.
@@ -52,25 +54,30 @@ fn key_of(addr: LineAddr) -> u32 {
 #[derive(Debug, Clone)]
 struct LineRecord {
     data: LineBuf,
-    ecp: EcpTable,
-    stuck: Vec<(u16, bool)>,
     /// DIN inversion flags of the stored encoding.
     din_flags: u64,
     /// Programming operations that have disturbed from this line so far.
     inject_epoch: u64,
     /// The line's index key.
     key: u32,
-    /// Whether the cells have been touched; until then `data`, `ecp`
-    /// and `stuck` are unused and the line reads as its initial content.
+    ecp: EcpTable,
+    /// Whether the bank's side table lists stuck cells for this record.
+    has_stuck: bool,
+    /// Whether the cells have been touched; until then `data` and `ecp`
+    /// are unused and the line reads as its initial content.
     materialized: bool,
 }
+
+// Data 64 B, flags and epoch 16 B, key 4 B, ECP table 26 B, two flags.
+const _: () = assert!(std::mem::size_of::<LineRecord>() <= 112);
 
 impl LineRecord {
     /// Applies a differential-write mask to the cells (see
     /// [`StoreLane::apply_write`]) and returns the post-write contents.
-    fn apply(&mut self, diff: &DiffMask) -> LineBuf {
+    /// `stuck` lists the line's stuck cells.
+    fn apply(&mut self, diff: &DiffMask, stuck: &[(u16, bool)]) -> LineBuf {
         let mut after = diff.apply(&self.data);
-        for &(bit, stuck_val) in &self.stuck {
+        for &(bit, stuck_val) in stuck {
             after.set_bit(bit as usize, stuck_val);
         }
         self.data = after;
@@ -79,8 +86,8 @@ impl LineRecord {
 
     /// Crystallizes one idle amorphous cell (see
     /// [`StoreLane::inject_disturb`]).
-    fn disturb(&mut self, bit: u16) -> bool {
-        if self.stuck.iter().any(|&(b, _)| b == bit) || self.data.bit(bit as usize) {
+    fn disturb(&mut self, bit: u16, stuck: &[(u16, bool)]) -> bool {
+        if self.data.bit(bit as usize) || stuck.iter().any(|&(b, _)| b == bit) {
             return false;
         }
         self.data.set_bit(bit as usize, true);
@@ -143,6 +150,9 @@ struct BankStore {
     /// The records in the order they were first touched, in chunks of
     /// [`CHUNK`] that are never reallocated.
     slab: Vec<Vec<LineRecord>>,
+    /// Slab position → stuck cells and their stuck values, for the
+    /// records flagged `has_stuck`.
+    stuck: FxHashMap<u32, Vec<(u16, bool)>>,
     /// Materialized records.
     materialized: usize,
     wear: WearMeter,
@@ -165,6 +175,17 @@ impl BankStore {
         self.record(addr).filter(|r| r.materialized)
     }
 
+    /// The record at slab position `i` and its stuck cells.
+    fn with_stuck(&mut self, i: u32) -> (&mut LineRecord, &[(u16, bool)]) {
+        let rec = &mut self.slab[i as usize / CHUNK][i as usize % CHUNK];
+        let stuck = if rec.has_stuck {
+            self.stuck.get(&i).map_or(&[][..], Vec::as_slice)
+        } else {
+            &[]
+        };
+        (rec, stuck)
+    }
+
     /// The slab position of `addr`'s record, appending an unmaterialized
     /// one on first use.
     fn position(&mut self, ecp_entries: usize, addr: LineAddr) -> u32 {
@@ -174,11 +195,11 @@ impl BankStore {
         if i == next {
             let rec = LineRecord {
                 data: LineBuf::zeroed(),
-                ecp: EcpTable::new(ecp_entries),
-                stuck: Vec::new(),
                 din_flags: 0,
                 inject_epoch: 0,
                 key,
+                ecp: EcpTable::new(ecp_entries),
+                has_stuck: false,
                 materialized: false,
             };
             match self.slab.last_mut() {
@@ -193,16 +214,15 @@ impl BankStore {
         i
     }
 
-    /// The record at slab position `i`, its cells set to `initial()` (the
-    /// line's initial content) if they were untouched.
-    fn materialize(&mut self, i: u32, initial: impl FnOnce() -> LineBuf) -> &mut LineRecord {
+    /// Sets the cells of the record at slab position `i` to `initial()`
+    /// (the line's initial content) if they were untouched.
+    fn materialize(&mut self, i: u32, initial: impl FnOnce() -> LineBuf) {
         let rec = &mut self.slab[i as usize / CHUNK][i as usize % CHUNK];
         if !rec.materialized {
             rec.data = initial();
             rec.materialized = true;
             self.materialized += 1;
         }
-        rec
     }
 
     /// Raw contents of the record at `i` (initial content if untouched).
@@ -219,7 +239,7 @@ impl BankStore {
         let _t = prof::timer(Site::StoreRead);
         match self.line(addr) {
             None => initial_line_of(init, addr),
-            Some(l) if l.ecp.entries().is_empty() => l.data,
+            Some(l) if l.ecp.is_empty() => l.data,
             Some(l) => l.ecp.patch(&l.data),
         }
     }
@@ -228,7 +248,7 @@ impl BankStore {
     fn read_line_and_flags(&self, init: InitContent, addr: LineAddr) -> (LineBuf, u64) {
         let _t = prof::timer(Site::StoreRead);
         match self.record(addr) {
-            Some(r) if r.materialized && r.ecp.entries().is_empty() => (r.data, r.din_flags),
+            Some(r) if r.materialized && r.ecp.is_empty() => (r.data, r.din_flags),
             Some(r) if r.materialized => (r.ecp.patch(&r.data), r.din_flags),
             r => (initial_line_of(init, addr), r.map_or(0, |r| r.din_flags)),
         }
@@ -236,7 +256,10 @@ impl BankStore {
 
     /// See [`DeviceStore::hard_error_count`].
     fn hard_error_count(&self, addr: LineAddr) -> usize {
-        self.line(addr).map_or(0, |l| l.stuck.len())
+        match self.index.get(&key_of(addr)) {
+            Some(i) if self.at(*i).has_stuck => self.stuck[i].len(),
+            _ => 0,
+        }
     }
 
     /// See [`DeviceStore::din_flags`].
@@ -273,10 +296,15 @@ impl DeviceStore {
     /// Creates a store with the given initial-content policy.
     ///
     /// # Panics
-    /// Panics if a bank has more than 2^26 rows, whose lines would not
-    /// fit the 32-bit index key.
+    /// Panics if `ecp_entries` exceeds [`MAX_ECP_ENTRIES`], the size of
+    /// a line's inline table, or if a bank has more than 2^26 rows,
+    /// whose lines would not fit the 32-bit index key.
     #[must_use]
     pub fn with_init(geometry: MemGeometry, ecp_entries: usize, init: InitContent) -> DeviceStore {
+        assert!(
+            ecp_entries <= MAX_ECP_ENTRIES,
+            "ECP-{ecp_entries} exceeds the {MAX_ECP_ENTRIES}-entry table"
+        );
         assert!(
             u64::from(geometry.rows_per_bank()) << SLOT_BITS <= 1 << 32,
             "{} rows per bank overflow the store's line index",
@@ -390,7 +418,10 @@ impl DeviceStore {
         let mut total: u64 = 0;
         let mut count: u64 = 0;
         for (bank, store) in self.banks.iter().enumerate() {
-            for line in store.slab.iter().flatten().filter(|r| r.materialized) {
+            for (i, line) in store.slab.iter().flatten().enumerate() {
+                if !line.materialized {
+                    continue;
+                }
                 let mut h = OFFSET;
                 let mut mix = |v: u64| {
                     for byte in v.to_le_bytes() {
@@ -408,8 +439,10 @@ impl DeviceStore {
                         | u64::from(e.value) << 1
                         | u64::from(e.kind == EcpKind::Hard));
                 }
-                for &(bit, val) in &line.stuck {
-                    mix(u64::from(bit) << 1 | u64::from(val));
+                if line.has_stuck {
+                    for &(bit, val) in &store.stuck[&(i as u32)] {
+                        mix(u64::from(bit) << 1 | u64::from(val));
+                    }
                 }
                 // Finalize: a second multiply round decorrelates lines so
                 // the commutative sum cannot cancel structured pairs.
@@ -439,11 +472,18 @@ impl<'a> StoreLane<'a> {
         self.bank.line(addr)
     }
 
-    fn line_mut(&mut self, addr: LineAddr) -> &mut LineRecord {
+    /// The slab position of `addr`'s record, materialized.
+    fn touch(&mut self, addr: LineAddr) -> u32 {
         self.check(addr);
         let i = self.bank.position(self.ecp_entries, addr);
         let init = self.init;
-        self.bank.materialize(i, || initial_line_of(init, addr))
+        self.bank.materialize(i, || initial_line_of(init, addr));
+        i
+    }
+
+    fn line_mut(&mut self, addr: LineAddr) -> &mut LineRecord {
+        let i = self.touch(addr);
+        self.bank.at_mut(i)
     }
 
     /// The initial content of an untouched line.
@@ -496,7 +536,9 @@ impl<'a> StoreLane<'a> {
     /// this lane's bank meter.
     pub fn apply_write(&mut self, addr: LineAddr, diff: &DiffMask, class: WriteClass) -> LineBuf {
         let _t = prof::timer(Site::StoreWrite);
-        let after = self.line_mut(addr).apply(diff);
+        let i = self.touch(addr);
+        let (line, stuck) = self.bank.with_stuck(i);
+        let after = line.apply(diff, stuck);
         self.bank
             .wear
             .charge_data_bits(u64::from(diff.changed_count()), class);
@@ -519,9 +561,10 @@ impl<'a> StoreLane<'a> {
         flags: u64,
     ) -> LineBuf {
         let _t = prof::timer(Site::StoreWrite);
-        let line = self.line_mut(addr);
-        let after = line.apply(diff);
-        for &(bit, _) in &line.stuck {
+        let i = self.touch(addr);
+        let (line, stuck) = self.bank.with_stuck(i);
+        let after = line.apply(diff, stuck);
+        for &(bit, _) in stuck {
             line.ecp
                 .try_record(bit, intended.bit(bit as usize), EcpKind::Hard);
         }
@@ -538,7 +581,9 @@ impl<'a> StoreLane<'a> {
     /// Returns whether the cell actually changed state — stuck cells are
     /// unaffected, and an already-crystalline cell cannot flip again.
     pub fn inject_disturb(&mut self, addr: LineAddr, bit: u16) -> bool {
-        self.line_mut(addr).disturb(bit)
+        let i = self.touch(addr);
+        let (line, stuck) = self.bank.with_stuck(i);
+        line.disturb(bit, stuck)
     }
 
     /// Disturbs a line in one lookup. `draw` is handed the line's raw
@@ -562,8 +607,9 @@ impl<'a> StoreLane<'a> {
                 None => self.bank.position(self.ecp_entries, addr),
             };
             // An untouched line's raw contents are its initial content.
-            let rec = self.bank.materialize(i, || raw);
-            victims.retain(|&bit| rec.disturb(bit));
+            self.bank.materialize(i, || raw);
+            let (rec, stuck) = self.bank.with_stuck(i);
+            victims.retain(|&bit| rec.disturb(bit, stuck));
         }
     }
 
@@ -587,8 +633,9 @@ impl<'a> StoreLane<'a> {
         let out = draw(epoch, &raw, victims);
         if !victims.is_empty() {
             // An untouched line's raw contents are its initial content.
-            let rec = self.bank.materialize(i, || raw);
-            victims.retain(|&bit| rec.disturb(bit));
+            self.bank.materialize(i, || raw);
+            let (rec, stuck) = self.bank.with_stuck(i);
+            victims.retain(|&bit| rec.disturb(bit, stuck));
         }
         out
     }
@@ -631,11 +678,15 @@ impl<'a> StoreLane<'a> {
         stuck_val: bool,
         correct: bool,
     ) -> bool {
-        let line = self.line_mut(addr);
-        if !line.stuck.iter().any(|&(b, _)| b == bit) {
-            line.stuck.push((bit, stuck_val));
+        let i = self.touch(addr);
+        let bank = &mut *self.bank;
+        let line = &mut bank.slab[i as usize / CHUNK][i as usize % CHUNK];
+        let stuck = bank.stuck.entry(i).or_default();
+        if !stuck.iter().any(|&(b, _)| b == bit) {
+            stuck.push((bit, stuck_val));
             line.data.set_bit(bit as usize, stuck_val);
         }
+        line.has_stuck = true;
         line.ecp.try_record(bit, correct, EcpKind::Hard)
     }
 

@@ -14,14 +14,52 @@ use sdpcm::osalloc::NmRatio;
 use sdpcm::pcm::geometry::{BankId, LineAddr, MemGeometry, RowId};
 use sdpcm::pcm::line::LineBuf;
 
+/// The request stream a harness drives: which lines, and how reads
+/// arrive.
+#[derive(Debug, Clone, Copy)]
+struct Traffic {
+    /// Rows per bank in the working set, from row 40 on.
+    rows: u64,
+    /// Lines per row in the working set.
+    slots: u64,
+    /// Most reads submitted back to back at one cycle. The driver then
+    /// blocks until all of them complete.
+    read_burst: u64,
+    /// Chance that a write goes to the line the previous write went to,
+    /// as a program updating one line in quick succession does.
+    rewrite: f64,
+}
+
+impl Traffic {
+    /// 32 lines in each of two banks, one read at a time.
+    const NARROW: Traffic = Traffic {
+        rows: 8,
+        slots: 4,
+        read_burst: 1,
+        rewrite: 0.0,
+    };
+
+    /// 96 lines in each of two banks, reads in bursts of up to four, and
+    /// most writes rewriting the previous write's line.
+    const WIDE_BURSTY: Traffic = Traffic {
+        rows: 12,
+        slots: 8,
+        read_burst: 4,
+        rewrite: 0.7,
+    };
+}
+
 struct Harness {
     ctrl: MemoryController,
+    traffic: Traffic,
     shadow: HashMap<LineAddr, LineBuf>,
     pending_reads: HashMap<ReqId, (LineAddr, Option<LineBuf>)>,
     rng: SimRng,
     now: Cycle,
     next_id: u64,
     mismatches: Vec<LineAddr>,
+    /// The line the previous write went to, under rewriting traffic.
+    last_write: Option<LineAddr>,
     reads_checked: u64,
     writes_submitted: u64,
     /// Under Start-Gap, never-written lines read as some *other*
@@ -35,12 +73,14 @@ const SEED: u64 = 2024;
 impl Harness {
     /// A harness whose controller and request stream both draw from `seed`.
     fn new(scheme: CtrlScheme, seed: u64) -> Harness {
-        Harness::with_config(CtrlConfig::table2(scheme), seed)
+        Harness::with_traffic(CtrlConfig::table2(scheme), Traffic::NARROW, seed)
     }
 
-    /// [`Harness::new`] with a full controller configuration.
-    fn with_config(cfg: CtrlConfig, seed: u64) -> Harness {
+    /// [`Harness::new`] with a full controller configuration, driving
+    /// the given request stream.
+    fn with_traffic(cfg: CtrlConfig, traffic: Traffic, seed: u64) -> Harness {
         Harness {
+            traffic,
             ctrl: MemoryController::new(
                 cfg,
                 MemGeometry::small(512),
@@ -52,6 +92,7 @@ impl Harness {
             now: Cycle::ZERO,
             next_id: 0,
             mismatches: Vec::new(),
+            last_write: None,
             reads_checked: 0,
             writes_submitted: 0,
             check_unwritten: true,
@@ -70,8 +111,8 @@ impl Harness {
         loop {
             let a = LineAddr {
                 bank: BankId(self.rng.below(2) as u16),
-                row: RowId(40 + self.rng.below(8) as u32),
-                slot: self.rng.below(4) as u8,
+                row: RowId(40 + self.rng.below(self.traffic.rows) as u32),
+                slot: self.rng.below(self.traffic.slots) as u8,
             };
             if !ratio.is_nouse_strip(u64::from(a.row.0)) {
                 return a;
@@ -101,10 +142,18 @@ impl Harness {
     }
 
     fn step(&mut self, ratio: NmRatio) {
-        let addr = self.addr(ratio);
+        let mut addr = self.addr(ratio);
         self.now += Cycle(self.rng.below(500) + 1);
         let is_write = self.rng.chance(0.6);
         let id = self.fresh_id();
+        if is_write && self.traffic.rewrite > 0.0 {
+            if let Some(last) = self.last_write {
+                if self.rng.chance(self.traffic.rewrite) {
+                    addr = last;
+                }
+            }
+            self.last_write = Some(addr);
+        }
         if is_write {
             // Flip a batch of bits of the program-order current value.
             let mut data = self
@@ -131,27 +180,38 @@ impl Harness {
                 )
                 .unwrap();
         } else {
-            // Program order: the read must observe the newest write, even
+            // Program order: a read must observe the newest write, even
             // if it is still queued. Like the in-order cores of Table 2,
-            // the driver blocks until the read completes — later stores
+            // the driver blocks until its reads complete — later stores
             // must not overtake an outstanding load of the same location.
-            let expect = self.expected(addr);
-            self.pending_reads.insert(id, (addr, expect));
-            self.ctrl
-                .submit(
-                    Access {
-                        id,
-                        addr,
-                        kind: AccessKind::Read,
-                        ratio,
-                        core: 0,
-                        arrive: self.now,
-                    },
-                    self.now,
-                )
-                .unwrap();
+            let burst = match self.traffic.read_burst {
+                1 => 1,
+                n => 1 + self.rng.below(n),
+            };
+            let mut id = id;
+            for i in 0..burst {
+                if i > 0 {
+                    addr = self.addr(ratio);
+                    id = self.fresh_id();
+                }
+                let expect = self.expected(addr);
+                self.pending_reads.insert(id, (addr, expect));
+                self.ctrl
+                    .submit(
+                        Access {
+                            id,
+                            addr,
+                            kind: AccessKind::Read,
+                            ratio,
+                            core: 0,
+                            arrive: self.now,
+                        },
+                        self.now,
+                    )
+                    .unwrap();
+            }
             let mut budget = u64::MAX;
-            while self.pending_reads.contains_key(&id) {
+            while !self.pending_reads.is_empty() {
                 let mut done = Vec::new();
                 match self.ctrl.run_until(None, &mut budget, &mut done).unwrap() {
                     Wake::At(t) => self.now = self.now.max(t),
@@ -193,15 +253,23 @@ impl Harness {
 }
 
 fn run(scheme: CtrlScheme, ratio: NmRatio, steps: u32) -> Harness {
-    run_seeded(scheme, ratio, steps, SEED)
+    run_traffic(
+        CtrlConfig::table2(scheme),
+        Traffic::NARROW,
+        ratio,
+        steps,
+        SEED,
+    )
 }
 
-fn run_seeded(scheme: CtrlScheme, ratio: NmRatio, steps: u32, seed: u64) -> Harness {
-    run_config(CtrlConfig::table2(scheme), ratio, steps, seed)
-}
-
-fn run_config(cfg: CtrlConfig, ratio: NmRatio, steps: u32, seed: u64) -> Harness {
-    let mut h = Harness::with_config(cfg, seed);
+fn run_traffic(
+    cfg: CtrlConfig,
+    traffic: Traffic,
+    ratio: NmRatio,
+    steps: u32,
+    seed: u64,
+) -> Harness {
+    let mut h = Harness::with_traffic(cfg, traffic, seed);
     for _ in 0..steps {
         h.step(ratio);
     }
@@ -331,6 +399,38 @@ fn start_gap_wear_leveling_never_corrupts() {
     assert!(h.ctrl.stats().gap_moves.get() > 100, "gap actually rotated");
 }
 
+/// LazyC+PreRead+WC at ECP-1 with 4-entry write queues, for
+/// [`Traffic::WIDE_BURSTY`]. A bank drains its short queue and goes idle
+/// between bursts, so idle pre-reads run on queued writes. A rewrite
+/// arriving while its line's previous write is in flight is queued
+/// behind it, and a read burst that then cancels the in-flight write
+/// puts it back ahead of the rewrite: idle pre-reads meet that pair.
+/// One-entry ECP tables exhaust until lines are decommissioned.
+fn short_queues_and_read_bursts() -> CtrlConfig {
+    CtrlConfig {
+        write_queue_cap: 4,
+        ecp_entries: 1,
+        ..CtrlConfig::table2(CtrlScheme::lazyc_preread().with_write_cancellation())
+    }
+}
+
+#[test]
+fn short_queues_and_read_bursts_never_corrupt() {
+    let h = run_traffic(
+        short_queues_and_read_bursts(),
+        Traffic::WIDE_BURSTY,
+        NmRatio::one_one(),
+        3000,
+        SEED,
+    );
+    assert_eq!(h.mismatches, vec![]);
+    assert_eq!(h.final_sweep_mismatches(), 0);
+    let s = h.ctrl.stats();
+    assert!(s.write_cancellations.get() > 0, "reads cancelled writes");
+    assert!(s.prereads_issued.get() > 0, "idle banks pre-read");
+    assert!(s.decommissions.get() > 0, "lines were decommissioned");
+}
+
 #[test]
 fn din_array_never_corrupts() {
     let h = run(CtrlScheme::din(), NmRatio::one_one(), 3000);
@@ -370,24 +470,29 @@ fn aged_dimm_with_hard_errors_never_corrupts() {
 /// bank's queue, possibly ahead of a later write to the same line, so
 /// the seeds that happen to build that state matter. Every cancelling
 /// scheme at 200 seeds each, plus LazyC+PreRead+WC at ECP-1, where
-/// tables exhaust fast enough that lines are decommissioned with such
-/// pairs queued. Every run also checks the pre-read bound.
+/// tables exhaust fast enough that lines are decommissioned, and the
+/// same at 4-entry queues under [`Traffic::WIDE_BURSTY`]. Every run also
+/// checks the pre-read bound.
 #[test]
 #[ignore = "release soak; run with --ignored"]
 fn write_cancellation_never_corrupts_across_seeds() {
     let table2 = CtrlConfig::table2;
+    let narrow = Traffic::NARROW;
     let configs = [
         (
             "BaselineVnC+WC",
             table2(CtrlScheme::baseline_vnc().with_write_cancellation()),
+            narrow,
         ),
         (
             "LazyC+WC",
             table2(CtrlScheme::lazyc().with_write_cancellation()),
+            narrow,
         ),
         (
             "LazyC+PreRead+WC",
             table2(CtrlScheme::lazyc_preread().with_write_cancellation()),
+            narrow,
         ),
         (
             "LazyC+WP+WC",
@@ -396,6 +501,7 @@ fn write_cancellation_never_corrupts_across_seeds() {
                     .with_write_pausing()
                     .with_write_cancellation(),
             ),
+            narrow,
         ),
         (
             "LazyC+PreRead+WC at ECP-1",
@@ -403,12 +509,18 @@ fn write_cancellation_never_corrupts_across_seeds() {
                 ecp_entries: 1,
                 ..table2(CtrlScheme::lazyc_preread().with_write_cancellation())
             },
+            narrow,
+        ),
+        (
+            "LazyC+PreRead+WC at ECP-1, 4-entry queues, wide bursty traffic",
+            short_queues_and_read_bursts(),
+            Traffic::WIDE_BURSTY,
         ),
     ];
-    for (name, cfg) in configs {
+    for (name, cfg, traffic) in configs {
         let mut decommissions = 0;
         for seed in 0..200 {
-            let h = run_config(cfg, NmRatio::one_one(), 3000, seed);
+            let h = run_traffic(cfg, traffic, NmRatio::one_one(), 3000, seed);
             assert_eq!(h.mismatches, vec![], "{name} seed {seed}");
             assert_eq!(h.final_sweep_mismatches(), 0, "{name} seed {seed}");
             decommissions += h.ctrl.stats().decommissions.get();

@@ -121,7 +121,7 @@ proptest! {
         }
         let patched = t.patch(&raw);
         for b in 0..512u16 {
-            let expected = t.entries().iter().find(|e| e.bit == b)
+            let expected = t.entries().find(|e| e.bit == b)
                 .map_or(raw.bit(b as usize), |e| e.value);
             prop_assert_eq!(patched.bit(b as usize), expected);
         }
